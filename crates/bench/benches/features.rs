@@ -1,9 +1,10 @@
 //! Benchmarks the offline initialization phase: materializing the full view
 //! space and computing the 8-feature matrix — exactly the work the
-//! α-sampling optimization targets, serial vs parallel.
+//! α-sampling optimization targets: the view-at-a-time reference, and the
+//! fused executor serial vs parallel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use viewseeker_core::viewgen::{materialize_all, materialize_all_shared};
+use viewseeker_core::viewgen::{materialize_all, materialize_all_fused};
 use viewseeker_core::{FeatureMatrix, ViewSpace};
 use viewseeker_dataset::generate::{generate_diab, DiabConfig};
 use viewseeker_dataset::sample::bernoulli_sample;
@@ -16,20 +17,15 @@ fn bench_offline_phase(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("offline_init");
     group.sample_size(10);
+    group.bench_function("materialize_280_views_reference", |b| {
+        b.iter(|| materialize_all(&table, &dq, &dr, &space).unwrap())
+    });
     for threads in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("materialize_280_views", threads),
             &threads,
-            |b, &threads| b.iter(|| materialize_all(&table, &dq, &dr, &space, threads).unwrap()),
-        );
-    }
-    // SeeDB-style shared computation: one scan per (dim, measure) group.
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("materialize_280_views_shared", threads),
-            &threads,
             |b, &threads| {
-                b.iter(|| materialize_all_shared(&table, &dq, &dr, &space, threads).unwrap())
+                b.iter(|| materialize_all_fused(&table, &dq, &dr, &space, threads).unwrap())
             },
         );
     }
@@ -38,10 +34,10 @@ fn bench_offline_phase(c: &mut Criterion) {
     let alpha_dq = bernoulli_sample(&dq, 0.1, 1);
     let alpha_dr = bernoulli_sample(&dr, 0.1, 2);
     group.bench_function("materialize_280_views_alpha10", |b| {
-        b.iter(|| materialize_all(&table, &alpha_dq, &alpha_dr, &space, 1).unwrap())
+        b.iter(|| materialize_all_fused(&table, &alpha_dq, &alpha_dr, &space, 1).unwrap())
     });
 
-    let views = materialize_all(&table, &dq, &dr, &space, 1).unwrap();
+    let views = materialize_all_fused(&table, &dq, &dr, &space, 1).unwrap();
     group.bench_function("feature_matrix_from_views", |b| {
         b.iter(|| FeatureMatrix::from_views(&views, 8.0).unwrap())
     });

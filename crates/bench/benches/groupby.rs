@@ -1,10 +1,10 @@
 //! Microbenchmarks of the group-by aggregation executor — the cost of
 //! materializing one view, which the α-sampling optimization amortizes —
-//! and of whole-view-space materialization under the three executors
-//! (naive per-view, shared-scan, fused single-scan).
+//! and of whole-view-space materialization: the view-at-a-time reference
+//! against the fused single-scan executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use viewseeker_core::viewgen::{materialize_all, materialize_all_fused, materialize_all_shared};
+use viewseeker_core::viewgen::{materialize_all, materialize_all_fused};
 use viewseeker_core::ViewSpace;
 use viewseeker_dataset::aggregate::{group_by_aggregate, within_bin_dispersion};
 use viewseeker_dataset::generate::{generate_diab, DiabConfig};
@@ -29,11 +29,10 @@ fn bench_groupby(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full view-space materialization (the offline phase) under each executor,
-/// at the paper's default bin configs, on the DIAB generator. This is the
-/// headline comparison: fused does one pass over the data for *all* views,
-/// shared does one pass per distinct `(dimension, bins)` group, naive does
-/// three passes per view.
+/// Full view-space materialization (the offline phase), at the paper's
+/// default bin configs, on the DIAB generator. This is the headline
+/// comparison: fused does one pass over the data for *all* views, the
+/// reference does three passes per view.
 fn bench_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("materialize_all");
     group.sample_size(10);
@@ -45,10 +44,7 @@ fn bench_materialize(c: &mut Criterion) {
         let space = ViewSpace::enumerate(&table, &[3, 4]).unwrap();
         group.throughput(Throughput::Elements(rows as u64));
         group.bench_with_input(BenchmarkId::new("naive", rows), &rows, |b, _| {
-            b.iter(|| materialize_all(&table, &dq, &dr, &space, 4).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("shared", rows), &rows, |b, _| {
-            b.iter(|| materialize_all_shared(&table, &dq, &dr, &space, 4).unwrap())
+            b.iter(|| materialize_all(&table, &dq, &dr, &space).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("fused", rows), &rows, |b, _| {
             b.iter(|| materialize_all_fused(&table, &dq, &dr, &space, 4).unwrap())

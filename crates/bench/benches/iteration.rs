@@ -4,7 +4,7 @@
 //! both estimators, and produce the top-k recommendation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use viewseeker_core::{MaterializeStrategy, ViewSeeker, ViewSeekerConfig};
+use viewseeker_core::{ViewSeeker, ViewSeekerConfig};
 use viewseeker_dataset::generate::{generate_diab, DiabConfig};
 use viewseeker_dataset::{Predicate, SelectQuery};
 
@@ -18,23 +18,6 @@ fn bench_iteration(c: &mut Criterion) {
     group.bench_function("offline_init_full", |b| {
         b.iter(|| ViewSeeker::new(&table, &query, ViewSeekerConfig::default()).unwrap())
     });
-
-    // Offline init dominated by view materialization: one entry per
-    // executor so the session-level win of the fused default is visible
-    // end-to-end, not just in the viewgen microbench.
-    for strategy in [
-        MaterializeStrategy::Naive,
-        MaterializeStrategy::Shared,
-        MaterializeStrategy::Fused,
-    ] {
-        group.bench_function(format!("offline_init_{strategy}"), |b| {
-            let config = ViewSeekerConfig {
-                materialize: strategy,
-                ..ViewSeekerConfig::default()
-            };
-            b.iter(|| ViewSeeker::new(&table, &query, config.clone()).unwrap())
-        });
-    }
 
     group.bench_function("select_label_refit_recommend", |b| {
         b.iter_batched(

@@ -166,7 +166,7 @@ fn main() {
     let scans = 2;
     let (naive_ms, _) = best_ms(scans, || {
         let dq = predicate.evaluate(&table).expect("DQ");
-        materialize_all(&table, &dq, &table.all_rows(), &space, args.threads).expect("naive scan")
+        materialize_all(&table, &dq, &table.all_rows(), &space).expect("naive scan")
     });
     let (pruned_ms, stats) = best_ms(scans, || {
         let (_, _, stats, _) =

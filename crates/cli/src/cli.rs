@@ -1,7 +1,6 @@
 //! Command-line parsing for the `viewseeker` binary.
 
-use viewseeker_core::MaterializeStrategy;
-use viewseeker_server::{IoModel, LogFormat, LogLevel};
+use viewseeker_server::{LogFormat, LogLevel};
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -13,9 +12,7 @@ USAGE:
   viewseeker rank     --data FILE.csv --query QUERY --utility EXPR [--k N] [--diverse LAMBDA]
   viewseeker explore  --data FILE.csv --query QUERY [--k N] [--alpha F] [--exclude col1,col2]
                       [--save SESSION.json] [--resume SESSION.json]
-                      [--executor naive|shared|fused]
   viewseeker simulate --data FILE.csv --query QUERY --ideal EXPR [--k N] [--max-labels N]
-                      [--executor naive|shared|fused]
   viewseeker scatter  --data FILE.csv --query QUERY --ideal EXPR [--grid N] [--k N]
   viewseeker query    --data FILE.csv --sql 'SELECT city, AVG(m_sales) FROM t GROUP BY city'
   viewseeker serve    [--addr HOST:PORT] [--workers N] [--max-sessions N] [--ttl SECS]
@@ -23,9 +20,7 @@ USAGE:
                       [--catalog-mem-budget BYTES[k|m|g]]
                       [--log-format text|json]
                       [--log-level debug|info|warn|error|off]
-                      [--executor naive|shared|fused]
-                      [--io blocking|event] [--max-inflight N] [--queue-deadline-ms MS]
-                      [--tracing true|false]
+                      [--max-inflight N] [--queue-deadline-ms MS]
                       [--shards N] [--peer HOST:PORT]...
   viewseeker loadgen  --addr HOST:PORT [--connections N] [--duration SECS]
                       [--feedback-rounds N] [--ramp SECS] [--out FILE.json]
@@ -105,8 +100,6 @@ pub enum Command {
         save: Option<String>,
         /// Resume from a previously saved snapshot.
         resume: Option<String>,
-        /// Materialization executor (default: fused).
-        executor: MaterializeStrategy,
     },
     /// A simulated session against a hidden ideal utility.
     Simulate {
@@ -122,8 +115,6 @@ pub enum Command {
         max_labels: usize,
         /// Bin configurations.
         bins: Vec<usize>,
-        /// Materialization executor (default: fused).
-        executor: MaterializeStrategy,
     },
     /// A simulated session over scatter-plot views (the future-work
     /// extension).
@@ -161,16 +152,10 @@ pub enum Command {
         log_format: LogFormat,
         /// Minimum log severity written to stderr.
         log_level: LogLevel,
-        /// Default materialization executor for sessions.
-        executor: MaterializeStrategy,
-        /// Which I/O path serves requests (`blocking` or `event`).
-        io: IoModel,
-        /// Event path: max requests dispatched to workers at once.
+        /// Max requests dispatched to workers at once.
         max_inflight: usize,
-        /// Event path: admission-queue deadline before `503` shedding.
+        /// Admission-queue deadline before `503` shedding.
         queue_deadline_ms: u64,
-        /// Per-request tracing (tail sampler + stage histograms).
-        tracing: bool,
         /// Local session shards (consistent-hash routed; default 1).
         shards: usize,
         /// Remote peers speaking the same protocol (`--peer`, repeatable).
@@ -347,7 +332,6 @@ impl Command {
                 bins: flags.bin_configs()?,
                 save: flags.get("--save"),
                 resume: flags.get("--resume"),
-                executor: flags.get_parsed("--executor")?.unwrap_or_default(),
             }),
             "scatter" => Ok(Command::Scatter {
                 data: flags.require("--data")?,
@@ -371,11 +355,8 @@ impl Command {
                     .map_or(Ok(512 << 20), |v| parse_byte_size(&v))?,
                 log_format: flags.get_parsed("--log-format")?.unwrap_or_default(),
                 log_level: flags.get_parsed("--log-level")?.unwrap_or_default(),
-                executor: flags.get_parsed("--executor")?.unwrap_or_default(),
-                io: flags.get_parsed("--io")?.unwrap_or_default(),
                 max_inflight: flags.get_parsed("--max-inflight")?.unwrap_or(256),
                 queue_deadline_ms: flags.get_parsed("--queue-deadline-ms")?.unwrap_or(500),
-                tracing: flags.get_parsed("--tracing")?.unwrap_or(true),
                 shards: flags.get_parsed("--shards")?.unwrap_or(1),
                 peers: flags.all("--peer"),
             }),
@@ -405,7 +386,6 @@ impl Command {
                 k: flags.get_parsed("--k")?.unwrap_or(10),
                 max_labels: flags.get_parsed("--max-labels")?.unwrap_or(50),
                 bins: flags.bin_configs()?,
-                executor: flags.get_parsed("--executor")?.unwrap_or_default(),
             }),
             other => Err(format!("unknown subcommand {other:?}")),
         }
@@ -573,7 +553,6 @@ mod tests {
                 bins,
                 save,
                 resume,
-                executor,
                 ..
             } => {
                 assert_eq!(k, 5);
@@ -581,7 +560,6 @@ mod tests {
                 assert!(exclude.is_empty());
                 assert_eq!(bins, vec![3, 4]);
                 assert!(save.is_none() && resume.is_none());
-                assert_eq!(executor, MaterializeStrategy::Fused);
             }
             other => panic!("{other:?}"),
         }
@@ -656,11 +634,8 @@ mod tests {
                 catalog_mem_budget: 512 << 20,
                 log_format: LogFormat::Text,
                 log_level: LogLevel::Info,
-                executor: MaterializeStrategy::Fused,
-                io: IoModel::Event,
                 max_inflight: 256,
                 queue_deadline_ms: 500,
-                tracing: true,
                 shards: 1,
                 peers: vec![],
             }
@@ -685,16 +660,10 @@ mod tests {
             "json",
             "--log-level",
             "warn",
-            "--executor",
-            "naive",
-            "--io",
-            "blocking",
             "--max-inflight",
             "64",
             "--queue-deadline-ms",
             "250",
-            "--tracing",
-            "false",
             "--shards",
             "4",
             "--peer",
@@ -715,24 +684,17 @@ mod tests {
                 catalog_mem_budget: 256 << 20,
                 log_format: LogFormat::Json,
                 log_level: LogLevel::Warn,
-                executor: MaterializeStrategy::Naive,
-                io: IoModel::Blocking,
                 max_inflight: 64,
                 queue_deadline_ms: 250,
-                tracing: false,
                 shards: 4,
                 peers: vec!["10.0.0.2:7878".into(), "10.0.0.3:7878".into()],
             }
         );
         assert!(parse(&["serve", "--workers", "two"]).is_err());
         assert!(parse(&["serve", "--shards", "lots"]).is_err());
-        assert!(parse(&["serve", "--tracing", "maybe"]).is_err());
         assert!(parse(&["serve", "--log-format", "xml"]).is_err());
         assert!(parse(&["serve", "--log-level", "verbose"]).is_err());
         assert!(parse(&["serve", "--catalog-mem-budget", "lots"]).is_err());
-        assert!(parse(&["serve", "--executor", "turbo"]).is_err());
-        assert!(parse(&["serve", "--io", "fiber"]).is_err());
-        assert!(parse(&["explore", "--data", "x.csv", "--executor", "turbo"]).is_err());
     }
 
     #[test]

@@ -55,10 +55,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             bins,
             save,
             resume,
-            executor,
-        } => explore(
-            &data, &query, k, alpha, exclude, &bins, save, resume, executor,
-        ),
+        } => explore(&data, &query, k, alpha, exclude, &bins, save, resume),
         Command::Query { data, sql } => sql_query(&data, &sql),
         Command::Serve {
             addr,
@@ -70,11 +67,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             catalog_mem_budget,
             log_format,
             log_level,
-            executor,
-            io,
             max_inflight,
             queue_deadline_ms,
-            tracing,
             shards,
             peers,
         } => serve(ServeArgs {
@@ -87,11 +81,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             catalog_mem_budget,
             log_format,
             log_level,
-            executor,
-            io,
             max_inflight,
             queue_deadline_ms,
-            tracing,
             shards,
             peers,
         }),
@@ -135,8 +126,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             k,
             max_labels,
             bins,
-            executor,
-        } => simulate(&data, &query, &ideal, k, max_labels, &bins, executor),
+        } => simulate(&data, &query, &ideal, k, max_labels, &bins),
     }
 }
 
@@ -152,11 +142,8 @@ struct ServeArgs {
     catalog_mem_budget: u64,
     log_format: viewseeker_server::LogFormat,
     log_level: viewseeker_server::LogLevel,
-    executor: viewseeker_core::MaterializeStrategy,
-    io: viewseeker_server::IoModel,
     max_inflight: usize,
     queue_deadline_ms: u64,
-    tracing: bool,
     shards: usize,
     peers: Vec<String>,
 }
@@ -172,11 +159,8 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         catalog_mem_budget,
         log_format,
         log_level,
-        executor,
-        io,
         max_inflight,
         queue_deadline_ms,
-        tracing,
         shards,
         peers,
     } = args;
@@ -190,18 +174,15 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         catalog_mem_budget,
         log_format,
         log_level,
-        default_executor: executor,
-        io,
         max_inflight,
         queue_deadline_ms,
-        tracing,
         shards,
         peers,
     };
     let handle =
         viewseeker_server::serve_app(&config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!(
-        "viewseeker-server listening on http://{} ({io:?} I/O, {workers} workers, \
+        "viewseeker-server listening on http://{} ({workers} workers, \
          {max_sessions} max sessions, {ttl_secs}s TTL)",
         handle.addr()
     );
@@ -740,7 +721,6 @@ fn explore(
     bins: &[usize],
     save: Option<String>,
     resume: Option<String>,
-    executor: viewseeker_core::MaterializeStrategy,
 ) -> Result<(), String> {
     let table = load_table(data)?;
     let q = SelectQuery::new(parse_query(query)?);
@@ -748,7 +728,6 @@ fn explore(
         bin_configs: bins.to_vec(),
         alpha,
         excluded_dimensions: exclude,
-        materialize: executor,
         ..ViewSeekerConfig::default()
     };
     let mut seeker = match resume {
@@ -884,14 +863,12 @@ fn simulate(
     k: usize,
     max_labels: usize,
     bins: &[usize],
-    executor: viewseeker_core::MaterializeStrategy,
 ) -> Result<(), String> {
     let table = load_table(data)?;
     let q = SelectQuery::new(parse_query(query)?);
     let composite = parse_utility(ideal)?;
     let config = ViewSeekerConfig {
         bin_configs: bins.to_vec(),
-        materialize: executor,
         ..ViewSeekerConfig::default()
     };
     println!(

@@ -38,60 +38,6 @@ pub enum QueryStrategyKind {
     },
 }
 
-/// Which executor materializes the view space during the offline phase.
-///
-/// All three produce the same views — [`MaterializeStrategy::Naive`] and
-/// [`MaterializeStrategy::Shared`] are kept as oracles for the fused
-/// executor's differential tests — but their scan counts differ by orders
-/// of magnitude (see `viewseeker_dataset::executor`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaterializeStrategy {
-    /// One target scan, one reference scan, and one dispersion pass *per
-    /// view* (~3·|views| scans). The slowest path and the ground-truth
-    /// oracle.
-    Naive,
-    /// SeeDB-style sharing: one target and one reference scan per
-    /// `(dimension, bins, measure)` group (~2·|groups| scans).
-    Shared,
-    /// The fused executor: every group answered by a single
-    /// partition-parallel pass, bit-identical across thread counts.
-    #[default]
-    Fused,
-}
-
-impl MaterializeStrategy {
-    /// Stable lowercase name (used in CLI flags, session specs, and logs).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MaterializeStrategy::Naive => "naive",
-            MaterializeStrategy::Shared => "shared",
-            MaterializeStrategy::Fused => "fused",
-        }
-    }
-}
-
-impl std::fmt::Display for MaterializeStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for MaterializeStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "naive" => Ok(MaterializeStrategy::Naive),
-            "shared" => Ok(MaterializeStrategy::Shared),
-            "fused" => Ok(MaterializeStrategy::Fused),
-            other => Err(format!(
-                "unknown materialize strategy {other:?} (expected naive, shared, or fused)"
-            )),
-        }
-    }
-}
-
 /// Configuration of a [`crate::ViewSeeker`] session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewSeekerConfig {
@@ -128,8 +74,6 @@ pub struct ViewSeekerConfig {
     /// The `VIEWSEEKER_THREADS` environment variable overrides this at
     /// session construction (see [`ViewSeekerConfig::effective_threads`]).
     pub init_threads: usize,
-    /// Executor for offline view materialization (default: fused).
-    pub materialize: MaterializeStrategy,
 }
 
 impl Default for ViewSeekerConfig {
@@ -147,7 +91,6 @@ impl Default for ViewSeekerConfig {
             strategy: QueryStrategyKind::Uncertainty,
             seed: 0x5EEC_4EED,
             init_threads: 1,
-            materialize: MaterializeStrategy::default(),
         }
     }
 }
@@ -243,32 +186,6 @@ mod tests {
         assert!((c.alpha - 0.10).abs() < 1e-12);
         assert_eq!(c.refine_budget, RefineBudget::Time(Duration::from_secs(1)));
         assert_eq!(c.views_per_iteration, 1);
-    }
-
-    #[test]
-    fn fused_is_the_default_executor() {
-        assert_eq!(
-            ViewSeekerConfig::default().materialize,
-            MaterializeStrategy::Fused
-        );
-        assert_eq!(
-            ViewSeekerConfig::optimized().materialize,
-            MaterializeStrategy::Fused
-        );
-    }
-
-    #[test]
-    fn materialize_strategy_round_trips_through_names() {
-        for s in [
-            MaterializeStrategy::Naive,
-            MaterializeStrategy::Shared,
-            MaterializeStrategy::Fused,
-        ] {
-            assert_eq!(s.name().parse::<MaterializeStrategy>().unwrap(), s);
-            assert_eq!(s.to_string(), s.name());
-        }
-        assert!("NAIVE".parse::<MaterializeStrategy>().is_err());
-        assert!("".parse::<MaterializeStrategy>().is_err());
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod view;
 pub mod viewgen;
 
 pub use composite::CompositeUtility;
-pub use config::{MaterializeStrategy, QueryStrategyKind, RefineBudget, ViewSeekerConfig};
+pub use config::{QueryStrategyKind, RefineBudget, ViewSeekerConfig};
 pub use diversity::{diverse_top_k, mean_pairwise_distance};
 pub use features::{FeatureMatrix, UtilityFeature};
 pub use metrics::{precision_at_k, tie_aware_precision_at_k, utility_distance};

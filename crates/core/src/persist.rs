@@ -100,7 +100,7 @@ impl SessionSnapshot {
 
     /// Rejects snapshots from a different format version. Restores made
     /// from deserialized values (not [`SessionSnapshot::from_json`]) must
-    /// still enforce this, so both restore paths call it.
+    /// still enforce this, so both replay paths call it.
     fn check_version(&self) -> Result<(), CoreError> {
         if self.version != SNAPSHOT_VERSION {
             return Err(CoreError::Invalid(format!(
@@ -138,39 +138,18 @@ impl SessionSnapshot {
         Ok(session)
     }
 
-    /// Restores into a fresh [`Seeker`] over the same table and query by
-    /// replaying every label. The holder shape follows the `table` argument:
-    /// pass `&table` for a borrowing [`ViewSeeker`], an `Arc<Table>` for an
-    /// owned [`crate::OwnedSeeker`].
+    /// Replays every label onto `seeker`, which the caller has just built
+    /// over the snapshot's table, query and configuration — so whoever
+    /// builds sessions (a registry that holds the table's zone maps and a
+    /// tracer) builds restored ones the same way.
     ///
     /// # Errors
     ///
-    /// Same contract as [`SessionSnapshot::restore_session`].
-    pub fn restore_seeker<H: Borrow<Table>>(
-        &self,
-        table: H,
-        query: &viewseeker_dataset::SelectQuery,
-        config: ViewSeekerConfig,
-    ) -> Result<Seeker<H>, CoreError> {
-        self.restore_seeker_traced(table, query, config, crate::trace::noop_tracer())
-    }
-
-    /// [`SessionSnapshot::restore_seeker`] with an explicit tracer: the
-    /// rebuild's offline phases and the label replay's estimator refits are
-    /// timed into it, so a restored session is as observable as a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SessionSnapshot::restore_seeker`].
-    pub fn restore_seeker_traced<H: Borrow<Table>>(
-        &self,
-        table: H,
-        query: &viewseeker_dataset::SelectQuery,
-        config: ViewSeekerConfig,
-        tracer: std::sync::Arc<dyn crate::trace::Tracer>,
-    ) -> Result<Seeker<H>, CoreError> {
+    /// [`CoreError::Invalid`] for an unsupported version or if the seeker's
+    /// view space disagrees with the snapshot; label-replay errors
+    /// otherwise.
+    pub fn replay_onto<H: Borrow<Table>>(&self, seeker: &mut Seeker<H>) -> Result<(), CoreError> {
         self.check_version()?;
-        let mut seeker = Seeker::new_traced(table, query, config, tracer)?;
         if seeker.view_space().len() != self.view_count {
             return Err(CoreError::Invalid(format!(
                 "snapshot was over {} views, view space has {}",
@@ -181,6 +160,26 @@ impl SessionSnapshot {
         for (index, score) in &self.labels {
             seeker.submit_feedback(ViewId::from_index(*index), *score)?;
         }
+        Ok(())
+    }
+
+    /// Restores into a fresh [`Seeker`] over the same table and query by
+    /// replaying every label. The holder shape follows the `table` argument:
+    /// pass `&table` for a borrowing [`ViewSeeker`], an `Arc<Table>` for an
+    /// owned [`crate::OwnedSeeker`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SessionSnapshot::replay_onto`], plus the session
+    /// construction errors of [`Seeker::new`].
+    pub fn restore_seeker<H: Borrow<Table>>(
+        &self,
+        table: H,
+        query: &viewseeker_dataset::SelectQuery,
+        config: ViewSeekerConfig,
+    ) -> Result<Seeker<H>, CoreError> {
+        let mut seeker = Seeker::new(table, query, config)?;
+        self.replay_onto(&mut seeker)?;
         Ok(seeker)
     }
 }

@@ -32,10 +32,11 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
+use viewseeker_dataset::executor::FusedScanStats;
 use viewseeker_dataset::sample::bernoulli_sample;
 use viewseeker_dataset::{RowSet, SelectQuery, Table, ZoneMaps};
 
-use crate::config::{MaterializeStrategy, RefineBudget, ViewSeekerConfig};
+use crate::config::{RefineBudget, ViewSeekerConfig};
 use crate::estimator::Label;
 use crate::features::{compute_features, FeatureMatrix};
 use crate::optimize::IncrementalRefiner;
@@ -45,8 +46,8 @@ use crate::trace::{
 };
 use crate::view::{ViewId, ViewSpace};
 use crate::viewgen::{
-    materialize_all, materialize_all_fused_pruned, materialize_all_fused_with_stats,
-    materialize_all_shared, materialize_view, scan_group_count, FusedRetained,
+    materialize_all_fused_pruned, materialize_all_fused_with_stats, materialize_view,
+    FusedRetained, ViewData,
 };
 use crate::CoreError;
 
@@ -76,12 +77,12 @@ pub struct Seeker<H: Borrow<Table>> {
     config: ViewSeekerConfig,
     space: ViewSpace,
     /// Zone maps of the current table, when the caller supplied them (or
-    /// the zone-pruned path built them); `None` for sessions that never
-    /// needed pruning.
+    /// the exact pass built them); `None` for sessions that never needed
+    /// pruning.
     zones: Option<Arc<ZoneMaps>>,
     /// The fused scan's mergeable raw aggregates, retained when the session
-    /// was materialized exactly (fused executor, no α-sampling) so dataset
-    /// appends fold in with a tail-only scan.
+    /// was materialized exactly (no α-sampling) so dataset appends fold in
+    /// with a tail-only scan.
     retained: Option<FusedRetained>,
     /// Working copy of the matrix that refinement mutates; the session holds
     /// its own copy and is refreshed through `update_matrix`.
@@ -94,24 +95,20 @@ pub struct Seeker<H: Borrow<Table>> {
     materialization: MaterializationReport,
 }
 
-/// What the offline materialization scan cost, for observability: which
-/// executor ran, how many scans and rows it spent, and how long it took.
-/// Read it back with [`Seeker::materialization`]; services feed it into
-/// their metrics.
+/// What the offline materialization scan cost, for observability: how many
+/// scans and rows it spent, and how long it took. Read it back with
+/// [`Seeker::materialization`]; services feed it into their metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaterializationReport {
-    /// The executor that materialized the view space.
-    pub strategy: MaterializeStrategy,
     /// Worker threads the scan was allowed to use.
     pub threads: usize,
-    /// Sequential row-range passes the executor performed (the fused
-    /// executor reports 1–2 for the whole space; the unfused paths report
-    /// their per-view/per-group scan counts).
+    /// Sequential row-range passes over the whole view space: 1, plus 1
+    /// when an α-sampled `DQ` is not a subset of the sampled `DR`.
     pub scans: u64,
     /// Total rows visited across those passes.
     pub rows_scanned: u64,
-    /// Row groups visited while evaluating the DQ predicate (zone-pruned
-    /// fused path only; 0 when no zone maps were consulted).
+    /// Row groups visited while evaluating the DQ predicate (exact pass
+    /// only; 0 when no zone maps were consulted).
     pub rowgroups_scanned: u64,
     /// Row groups the zone maps excluded from the DQ evaluation without
     /// reading a value.
@@ -127,8 +124,8 @@ pub struct MaterializationReport {
 pub struct AppendReport {
     /// `true` when only the appended rows were scanned and merged into the
     /// retained aggregates; `false` when the session fell back to a full
-    /// rebuild (non-fused strategy, α-sampled session, or a categorical
-    /// dimension grew a new distinct value).
+    /// rebuild (α-sampled session, or a categorical dimension grew a new
+    /// distinct value).
     pub merged: bool,
     /// Rows the table grew by.
     pub appended_rows: u64,
@@ -153,6 +150,62 @@ struct RefinementReport {
     budget: Option<RefinementBudgetReport>,
 }
 
+/// What the offline phase produced.
+struct Materialized {
+    views: Vec<ViewData>,
+    /// The full `DQ`, also when the views were computed from a sample of it.
+    dq: RowSet,
+    stats: FusedScanStats,
+    /// The zone maps the caller supplied or the exact pass built.
+    zones: Option<Arc<ZoneMaps>>,
+    /// Mergeable aggregates; the exact pass only.
+    retained: Option<FusedRetained>,
+}
+
+/// The offline materialization behind both session construction and the
+/// rebuild after an append. Which pass runs follows from the input alone:
+/// exact features (`alpha >= 1`) take the zone-pruned pass and retain its
+/// aggregates — they describe the full data, so later appends can merge
+/// into them — while α-sampled features take the fused pass over Bernoulli
+/// samples of `DQ` and `DR`, to be refined under the interaction budget
+/// (§3.3).
+fn materialize(
+    table: &Table,
+    query: &SelectQuery,
+    space: &ViewSpace,
+    config: &ViewSeekerConfig,
+    zones: Option<Arc<ZoneMaps>>,
+) -> Result<Materialized, CoreError> {
+    let threads = config.effective_threads();
+    if config.alpha >= 1.0 {
+        let zones = match zones {
+            Some(z) => z,
+            None => Arc::new(ZoneMaps::build(table, 0)),
+        };
+        let (views, dq, stats, retained) =
+            materialize_all_fused_pruned(table, &zones, query.predicate(), space, threads)?;
+        return Ok(Materialized {
+            views,
+            dq,
+            stats,
+            zones: Some(zones),
+            retained: Some(retained),
+        });
+    }
+    let dq = query.execute(table)?;
+    let sampled_dq = bernoulli_sample(&dq, config.alpha, config.seed);
+    let sampled_dr = bernoulli_sample(&table.all_rows(), config.alpha, config.seed.wrapping_add(1));
+    let (views, stats) =
+        materialize_all_fused_with_stats(table, &sampled_dq, &sampled_dr, space, threads)?;
+    Ok(Materialized {
+        views,
+        dq,
+        stats,
+        zones,
+        retained: None,
+    })
+}
+
 /// A session borrowing its table — the original `ViewSeeker` shape; call
 /// sites like `ViewSeeker::new(&table, &query, config)` are unchanged.
 pub type ViewSeeker<'a> = Seeker<&'a Table>;
@@ -163,60 +216,31 @@ pub type OwnedSeeker = Seeker<std::sync::Arc<Table>>;
 
 impl<H: Borrow<Table>> Seeker<H> {
     /// Runs the offline initialization phase: executes the query to obtain
-    /// `DQ`, enumerates the view space, materializes every view (with the
-    /// configured [`MaterializeStrategy`]; the fused single-scan executor by
-    /// default), and computes the feature matrix — on an α% sample when the
-    /// optimization is enabled (`config.alpha < 1`).
+    /// `DQ`, enumerates the view space, materializes every view with the
+    /// fused single-scan executor, and computes the feature matrix — on an
+    /// α% sample when the optimization is enabled (`config.alpha < 1`).
     ///
     /// # Errors
     ///
     /// Configuration validation errors, query errors, and materialization
     /// errors.
     pub fn new(table: H, query: &SelectQuery, config: ViewSeekerConfig) -> Result<Self, CoreError> {
-        Self::new_traced(table, query, config, noop_tracer())
+        Self::new_traced_with_zones(table, query, config, None, noop_tracer())
     }
 
-    /// [`Seeker::new`] with caller-supplied zone maps (see
-    /// [`Seeker::new_traced_with_zones`]).
+    /// [`Seeker::new`] with an explicit [`Tracer`] and the table's zone maps
+    /// supplied by the caller (a catalog that loaded them from a VSC2
+    /// manifest). The offline phases (view-space generation +
+    /// materialization, feature extraction) are timed into the tracer, and
+    /// every later interactive turn reports there too; pass a shared
+    /// [`crate::trace::Recorder`] handle to observe the session.
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`Seeker::new`].
-    pub fn new_with_zones(
-        table: H,
-        query: &SelectQuery,
-        config: ViewSeekerConfig,
-        zones: Option<Arc<ZoneMaps>>,
-    ) -> Result<Self, CoreError> {
-        Self::new_traced_with_zones(table, query, config, zones, noop_tracer())
-    }
-
-    /// [`Seeker::new`] with an explicit [`Tracer`]: the offline phases
-    /// (view-space generation + materialization, feature extraction) are
-    /// timed into it, and every later interactive turn reports there too.
-    /// Pass a shared [`crate::trace::Recorder`] handle to observe the
-    /// session; `Seeker::new` uses the free [`noop_tracer`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Seeker::new`].
-    pub fn new_traced(
-        table: H,
-        query: &SelectQuery,
-        config: ViewSeekerConfig,
-        tracer: Arc<dyn Tracer>,
-    ) -> Result<Self, CoreError> {
-        Self::new_traced_with_zones(table, query, config, None, tracer)
-    }
-
-    /// [`Seeker::new_traced`] with the table's zone maps supplied by the
-    /// caller (a catalog that loaded them from a VSC2 manifest). With the
-    /// fused executor and no α-sampling, the `DQ` predicate is then
-    /// evaluated through the zones — row groups the zones provably exclude
-    /// are skipped without reading a value, and the counts appear in
+    /// Without α-sampling the `DQ` predicate is evaluated through the zones
+    /// — row groups the zones provably exclude are skipped without reading
+    /// a value, and the counts appear in
     /// [`MaterializationReport::rowgroups_scanned`] /
     /// [`MaterializationReport::rowgroups_pruned`]. Passing `None` builds
-    /// zone maps in-memory when that path needs them.
+    /// zone maps in-memory when that pass needs them.
     ///
     /// # Errors
     ///
@@ -230,7 +254,6 @@ impl<H: Borrow<Table>> Seeker<H> {
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let table_ref: &Table = table.borrow();
-        let dr = table_ref.all_rows();
 
         let gen_started = Stopwatch::start();
         let space = ViewSpace::enumerate_excluding(
@@ -239,76 +262,21 @@ impl<H: Borrow<Table>> Seeker<H> {
             &config.excluded_dimensions,
         )?;
 
-        let threads = config.effective_threads();
         let mat_started = Stopwatch::start();
-        // The zone-pruned fused path needs exact features (no α-sampling):
-        // its retained aggregates must describe the full data to stay
-        // mergeable across appends.
-        let exact_fused = config.materialize == MaterializeStrategy::Fused && config.alpha >= 1.0;
-        let (views, dq, scans, rows_scanned, rowgroups, zones, retained) = if exact_fused {
-            let zones = match zones {
-                Some(z) => z,
-                None => Arc::new(ZoneMaps::build(table_ref, 0)),
-            };
-            let (views, dq, stats, retained) = materialize_all_fused_pruned(
-                table_ref,
-                &zones,
-                query.predicate(),
-                &space,
-                threads,
-            )?;
-            (
-                views,
-                dq,
-                stats.scans,
-                stats.rows_scanned,
-                (stats.rowgroups_scanned, stats.rowgroups_pruned),
-                Some(zones),
-                Some(retained),
-            )
-        } else {
-            let dq = query.execute(table_ref)?;
-            let (init_dq, init_dr) = if config.alpha < 1.0 {
-                (
-                    bernoulli_sample(&dq, config.alpha, config.seed),
-                    bernoulli_sample(&dr, config.alpha, config.seed.wrapping_add(1)),
-                )
-            } else {
-                (dq.clone(), dr.clone())
-            };
-            let (views, scans, rows_scanned) = match config.materialize {
-                MaterializeStrategy::Naive => {
-                    let views = materialize_all(table_ref, &init_dq, &init_dr, &space, threads)?;
-                    // Per view: one target scan, one reference scan, one
-                    // dispersion pass over the target.
-                    let v = space.len() as u64;
-                    let rows = v * (2 * init_dq.len() as u64 + init_dr.len() as u64);
-                    (views, 3 * v, rows)
-                }
-                MaterializeStrategy::Shared => {
-                    let views =
-                        materialize_all_shared(table_ref, &init_dq, &init_dr, &space, threads)?;
-                    let groups = scan_group_count(&space) as u64;
-                    let rows = groups * (init_dq.len() as u64 + init_dr.len() as u64);
-                    (views, 2 * groups, rows)
-                }
-                MaterializeStrategy::Fused => {
-                    let (views, stats) = materialize_all_fused_with_stats(
-                        table_ref, &init_dq, &init_dr, &space, threads,
-                    )?;
-                    (views, stats.scans, stats.rows_scanned)
-                }
-            };
-            (views, dq, scans, rows_scanned, (0, 0), zones, None)
-        };
+        let Materialized {
+            views,
+            dq,
+            stats,
+            zones,
+            retained,
+        } = materialize(table_ref, query, &space, &config, zones)?;
         let mat_elapsed = mat_started.elapsed();
         let materialization = MaterializationReport {
-            strategy: config.materialize,
-            threads,
-            scans,
-            rows_scanned,
-            rowgroups_scanned: rowgroups.0,
-            rowgroups_pruned: rowgroups.1,
+            threads: config.effective_threads(),
+            scans: stats.scans,
+            rows_scanned: stats.rows_scanned,
+            rowgroups_scanned: stats.rowgroups_scanned,
+            rowgroups_pruned: stats.rowgroups_pruned,
             duration_us: duration_us(mat_elapsed),
         };
         tracer.record_span(TracePhase::Materialization, mat_elapsed);
@@ -320,6 +288,7 @@ impl<H: Borrow<Table>> Seeker<H> {
 
         let refiner = (config.alpha < 1.0).then(|| IncrementalRefiner::new(space.len()));
         let session = FeedbackSession::new(matrix.clone(), config.clone())?;
+        let dr = table_ref.all_rows();
 
         Ok(Self {
             table,
@@ -340,7 +309,7 @@ impl<H: Borrow<Table>> Seeker<H> {
         })
     }
 
-    /// The offline materialization's executor, scan counts, and timing.
+    /// The offline materialization's scan counts and timing.
     #[must_use]
     pub fn materialization(&self) -> &MaterializationReport {
         &self.materialization
@@ -362,11 +331,11 @@ impl<H: Borrow<Table>> Seeker<H> {
     ///
     /// Sessions holding retained fused aggregates
     /// ([`Seeker::can_merge_appends`]) scan only the appended tail and merge
-    /// its raw aggregates in; everything else (non-fused strategies,
-    /// α-sampled sessions, or a categorical dimension that grew a new
-    /// distinct value and so changed the view space's bin shapes) falls back
-    /// to a full re-materialization. Either way the rebuilt features are
-    /// exact, so any outstanding α-refinement debt is cleared.
+    /// its raw aggregates in; everything else (α-sampled sessions, or a
+    /// categorical dimension that grew a new distinct value and so changed
+    /// the view space's bin shapes) falls back to a full re-materialization.
+    /// Either way the rebuilt features are exact, so any outstanding
+    /// α-refinement debt is cleared.
     ///
     /// # Errors
     ///
@@ -392,7 +361,6 @@ impl<H: Borrow<Table>> Seeker<H> {
             )));
         }
         let appended_rows = (new_rows - old_rows) as u64;
-        let threads = self.config.effective_threads();
 
         // Fast path: fold the tail into the retained fused aggregates.
         if let Some(retained) = &mut self.retained {
@@ -401,7 +369,7 @@ impl<H: Borrow<Table>> Seeker<H> {
                 old_rows,
                 self.query.predicate(),
                 &self.space,
-                threads,
+                self.config.effective_threads(),
             )? {
                 let matrix = FeatureMatrix::from_views(&views, self.config.usability_optimal_bins)?;
                 self.session.update_matrix(matrix.clone())?;
@@ -420,13 +388,13 @@ impl<H: Borrow<Table>> Seeker<H> {
             }
         }
 
-        // Full rebuild — always exact (no α-sampling), which also clears any
-        // outstanding refinement debt and, on the fused path, re-arms the
-        // retained aggregates for the next append. The view space is
-        // re-enumerated so categorical bin specs pick up dictionary values
-        // the appended rows introduced; enumeration is deterministic over
-        // the (unchanged) schema, so views keep their ids and count — which
-        // `update_matrix` requires to preserve the session's labels.
+        // Full rebuild — always exact, whatever α the session started with:
+        // that clears any outstanding refinement debt and arms the retained
+        // aggregates for the next append. The view space is re-enumerated so
+        // categorical bin specs pick up dictionary values the appended rows
+        // introduced; enumeration is deterministic over the (unchanged)
+        // schema, so views keep their ids and count — which `update_matrix`
+        // requires to preserve the session's labels.
         let space = ViewSpace::enumerate_excluding(
             new_ref,
             &self.config.bin_configs,
@@ -439,79 +407,28 @@ impl<H: Borrow<Table>> Seeker<H> {
                 space.len()
             )));
         }
-        self.space = space;
-        let report = match self.config.materialize {
-            MaterializeStrategy::Fused => {
-                let zones = match zones {
-                    Some(z) => z,
-                    None => Arc::new(ZoneMaps::build(new_ref, 0)),
-                };
-                let (views, dq, stats, retained) = materialize_all_fused_pruned(
-                    new_ref,
-                    &zones,
-                    self.query.predicate(),
-                    &self.space,
-                    threads,
-                )?;
-                let matrix = FeatureMatrix::from_views(&views, self.config.usability_optimal_bins)?;
-                self.session.update_matrix(matrix.clone())?;
-                self.matrix = matrix;
-                self.dq = dq;
-                self.zones = Some(zones);
-                self.retained = Some(retained);
-                AppendReport {
-                    merged: false,
-                    appended_rows,
-                    rows_scanned: stats.rows_scanned,
-                    rowgroups_scanned: stats.rowgroups_scanned,
-                    rowgroups_pruned: stats.rowgroups_pruned,
-                }
-            }
-            MaterializeStrategy::Naive => {
-                let dq = self.query.execute(new_ref)?;
-                let dr = new_ref.all_rows();
-                let views = materialize_all(new_ref, &dq, &dr, &self.space, threads)?;
-                let v = self.space.len() as u64;
-                let rows_scanned = v * (2 * dq.len() as u64 + dr.len() as u64);
-                let matrix = FeatureMatrix::from_views(&views, self.config.usability_optimal_bins)?;
-                self.session.update_matrix(matrix.clone())?;
-                self.matrix = matrix;
-                self.dq = dq;
-                self.zones = zones;
-                self.retained = None;
-                AppendReport {
-                    merged: false,
-                    appended_rows,
-                    rows_scanned,
-                    rowgroups_scanned: 0,
-                    rowgroups_pruned: 0,
-                }
-            }
-            MaterializeStrategy::Shared => {
-                let dq = self.query.execute(new_ref)?;
-                let dr = new_ref.all_rows();
-                let views = materialize_all_shared(new_ref, &dq, &dr, &self.space, threads)?;
-                let groups = scan_group_count(&self.space) as u64;
-                let rows_scanned = groups * (dq.len() as u64 + dr.len() as u64);
-                let matrix = FeatureMatrix::from_views(&views, self.config.usability_optimal_bins)?;
-                self.session.update_matrix(matrix.clone())?;
-                self.matrix = matrix;
-                self.dq = dq;
-                self.zones = zones;
-                self.retained = None;
-                AppendReport {
-                    merged: false,
-                    appended_rows,
-                    rows_scanned,
-                    rowgroups_scanned: 0,
-                    rowgroups_pruned: 0,
-                }
-            }
+        let exact = ViewSeekerConfig {
+            alpha: 1.0,
+            ..self.config.clone()
         };
+        let built = materialize(new_ref, &self.query, &space, &exact, zones)?;
+        let matrix = FeatureMatrix::from_views(&built.views, self.config.usability_optimal_bins)?;
+        self.session.update_matrix(matrix.clone())?;
+        self.matrix = matrix;
+        self.space = space;
+        self.dq = built.dq;
+        self.zones = built.zones;
+        self.retained = built.retained;
         self.refiner = None;
         self.dr = new_ref.all_rows();
         self.table = table;
-        Ok(report)
+        Ok(AppendReport {
+            merged: false,
+            appended_rows,
+            rows_scanned: built.stats.rows_scanned,
+            rowgroups_scanned: built.stats.rowgroups_scanned,
+            rowgroups_pruned: built.stats.rowgroups_pruned,
+        })
     }
 
     /// Replaces the session's tracer (the default is the no-op one). Spans
@@ -975,7 +892,6 @@ mod tests {
                 alpha: 0.4,
                 refine_budget: RefineBudget::Views(25),
                 init_threads: threads,
-                materialize: MaterializeStrategy::Fused,
                 ..ViewSeekerConfig::default()
             };
             let mut s = ViewSeeker::new(&table, &query, cfg).unwrap();
@@ -995,36 +911,23 @@ mod tests {
     }
 
     #[test]
-    fn materialization_report_reflects_the_executor() {
+    fn materialization_report_counts_the_passes_of_each_arm() {
         let (table, query) = testbed();
-        let fused = ViewSeeker::new(&table, &query, ViewSeekerConfig::default()).unwrap();
-        let report = *fused.materialization();
-        assert_eq!(report.strategy, MaterializeStrategy::Fused);
+        let exact = ViewSeeker::new(&table, &query, ViewSeekerConfig::default()).unwrap();
+        let report = *exact.materialization();
         assert_eq!(report.scans, 1, "DQ ⊆ DR without sampling: one pass");
         assert_eq!(report.rows_scanned, 3_000);
+        assert_eq!(report.rowgroups_scanned + report.rowgroups_pruned, 1);
 
-        let shared = ViewSeeker::new(
-            &table,
-            &query,
-            ViewSeekerConfig {
-                materialize: MaterializeStrategy::Shared,
-                ..ViewSeekerConfig::default()
-            },
-        )
-        .unwrap();
-        let naive = ViewSeeker::new(
-            &table,
-            &query,
-            ViewSeekerConfig {
-                materialize: MaterializeStrategy::Naive,
-                ..ViewSeekerConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(shared.materialization().scans > report.scans);
-        assert!(naive.materialization().scans > shared.materialization().scans);
-        assert!(naive.materialization().rows_scanned > shared.materialization().rows_scanned);
-        assert!(shared.materialization().rows_scanned > report.rows_scanned);
+        let cfg = ViewSeekerConfig {
+            alpha: 0.4,
+            ..ViewSeekerConfig::default()
+        };
+        let sampled = ViewSeeker::new(&table, &query, cfg).unwrap();
+        let report = *sampled.materialization();
+        assert_eq!(report.scans, 2, "sampled DQ ⊄ sampled DR: a tail pass");
+        assert!(report.rows_scanned < 3_000);
+        assert_eq!(report.rowgroups_scanned + report.rowgroups_pruned, 0);
     }
 
     #[test]
@@ -1038,10 +941,11 @@ mod tests {
             ..ViewSeekerConfig::default()
         };
         let recorder = Recorder::shared();
-        let mut s = ViewSeeker::new_traced(
+        let mut s = ViewSeeker::new_traced_with_zones(
             &table,
             &query,
             cfg,
+            None,
             Arc::clone(&recorder) as Arc<dyn Tracer>,
         )
         .unwrap();
@@ -1113,10 +1017,11 @@ mod tests {
             ..ViewSeekerConfig::default()
         };
         let recorder = crate::trace::Recorder::shared();
-        let mut s = ViewSeeker::new_traced(
+        let mut s = ViewSeeker::new_traced_with_zones(
             &table,
             &query,
             cfg,
+            None,
             Arc::clone(&recorder) as Arc<dyn Tracer>,
         )
         .unwrap();
@@ -1138,10 +1043,11 @@ mod tests {
     fn full_init_sessions_trace_without_refinement_phases() {
         let (table, query) = testbed();
         let recorder = crate::trace::Recorder::shared();
-        let mut s = ViewSeeker::new_traced(
+        let mut s = ViewSeeker::new_traced_with_zones(
             &table,
             &query,
             ViewSeekerConfig::default(),
+            None,
             Arc::clone(&recorder) as Arc<dyn Tracer>,
         )
         .unwrap();
@@ -1264,28 +1170,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_append_rebuilds_for_sampled_and_unfused_sessions() {
+    fn absorb_append_rebuilds_sampled_sessions_exactly() {
         let (full, query) = testbed();
         let prefix = split(&full, 2_000);
-        for cfg in [
-            ViewSeekerConfig {
-                alpha: 0.4,
-                ..ViewSeekerConfig::default()
-            },
-            ViewSeekerConfig {
-                materialize: MaterializeStrategy::Shared,
-                ..ViewSeekerConfig::default()
-            },
-        ] {
-            let mut s = ViewSeeker::new(&prefix, &query, cfg).unwrap();
-            assert!(!s.can_merge_appends());
-            let report = s.absorb_append(&full, None).unwrap();
-            assert!(!report.merged);
-            assert_eq!(report.appended_rows, 1_000);
-            // The rebuild is exact, so refinement debt is gone.
-            assert_eq!(s.pending_refinements(), 0);
-            assert_eq!(s.dq().ids(), query.execute(&full).unwrap().ids());
-        }
+        let cfg = ViewSeekerConfig {
+            alpha: 0.4,
+            ..ViewSeekerConfig::default()
+        };
+        let mut s = ViewSeeker::new(&prefix, &query, cfg).unwrap();
+        assert!(!s.can_merge_appends());
+        let report = s.absorb_append(&full, None).unwrap();
+        assert!(!report.merged);
+        assert_eq!(report.appended_rows, 1_000);
+        // The rebuild is exact, so refinement debt is gone and the next
+        // append merges.
+        assert_eq!(s.pending_refinements(), 0);
+        assert!(s.can_merge_appends());
+        assert_eq!(s.dq().ids(), query.execute(&full).unwrap().ids());
+        let fresh = ViewSeeker::new(&full, &query, ViewSeekerConfig::default()).unwrap();
+        assert_eq!(s.feature_matrix(), fresh.feature_matrix());
     }
 
     #[test]

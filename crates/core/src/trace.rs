@@ -34,8 +34,8 @@ pub enum TracePhase {
     /// view's target/reference distributions (shared-scan, α-sampled).
     ViewSpaceGen,
     /// Offline: the materialization scan itself — a sub-span of
-    /// [`TracePhase::ViewSpaceGen`], isolated so the executor choice
-    /// (naive / shared / fused) is directly comparable in the phase totals.
+    /// [`TracePhase::ViewSpaceGen`], isolated so the scan's cost can be
+    /// read apart from view-space enumeration in the phase totals.
     Materialization,
     /// Offline: computing the 8-component utility-feature matrix.
     FeatureExtraction,

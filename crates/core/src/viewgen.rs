@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use viewseeker_dataset::aggregate::{group_by_aggregate, group_by_all, within_bin_dispersion};
+use viewseeker_dataset::aggregate::{group_by_aggregate, within_bin_dispersion};
 use viewseeker_dataset::executor::{
     fused_group_by_all, fused_group_by_all_pruned, fused_group_by_all_raw, FusedGroupResult,
     FusedScanStats, GroupRequest, RawAggregates,
@@ -66,7 +66,7 @@ fn bin_spec_for_dimension(
 /// A `(dimension, bins, measure)` scan-sharing group.
 type GroupKey = (String, Option<usize>, String);
 
-/// The shared/fused execution plan of a view space: its unique scan groups
+/// The fused execution plan of a view space: its unique scan groups
 /// in first-seen order, each view's group, and one [`BinSpec`] per distinct
 /// `(dimension, bins)` pair — specs do not depend on the measure, so each
 /// is derived exactly once.
@@ -166,12 +166,9 @@ pub fn materialize_view(
     })
 }
 
-/// Materializes every view of `space`, optionally in parallel.
-///
-/// `threads == 1` runs serially; otherwise the view list is split into
-/// contiguous chunks processed by `threads` scoped worker threads — view
-/// materialization is embarrassingly parallel and dominates offline-phase
-/// time on large tables.
+/// Materializes every view of `space` one view at a time — three scans per
+/// view, no sharing. This is the reference the fused executor's
+/// differential tests compare against, not a path sessions run.
 ///
 /// # Errors
 ///
@@ -181,171 +178,12 @@ pub fn materialize_all(
     dq: &RowSet,
     dr: &RowSet,
     space: &ViewSpace,
-    threads: usize,
 ) -> Result<Vec<ViewData>, CoreError> {
-    let defs = space.defs();
-    if threads <= 1 || defs.len() < 2 {
-        return defs
-            .iter()
-            .map(|def| materialize_view(table, dq, dr, def))
-            .collect();
-    }
-
-    let threads = threads.min(defs.len());
-    let chunk = defs.len().div_ceil(threads);
-    let results: Vec<Result<Vec<ViewData>, CoreError>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = defs
-            .chunks(chunk)
-            .map(|slice| {
-                s.spawn(move |_| {
-                    slice
-                        .iter()
-                        .map(|def| materialize_view(table, dq, dr, def))
-                        .collect::<Result<Vec<ViewData>, CoreError>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(CoreError::Invalid("materialization worker panicked".into()))
-                })
-            })
-            .collect()
-    })
-    .unwrap_or_else(|_| {
-        vec![Err(CoreError::Invalid(
-            "materialization scope panicked".into(),
-        ))]
-    });
-
-    let mut out = Vec::with_capacity(defs.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// Materializes every view of `space` with the SeeDB-style *shared
-/// computation* optimization: views differing only in their aggregate
-/// function share one scan per `(dimension, bins, measure)` group (a 5×
-/// reduction in scans plus a free dispersion pass), optionally parallelized
-/// across groups.
-///
-/// Produces results identical to [`materialize_all`].
-///
-/// # Errors
-///
-/// Propagates the first materialization error encountered.
-pub fn materialize_all_shared(
-    table: &Table,
-    dq: &RowSet,
-    dr: &RowSet,
-    space: &ViewSpace,
-    threads: usize,
-) -> Result<Vec<ViewData>, CoreError> {
-    let plan = GroupPlan::build(table, space)?;
-
-    struct GroupData {
-        target: viewseeker_dataset::aggregate::GroupByAllResult,
-        reference: viewseeker_dataset::aggregate::GroupByAllResult,
-        bins: usize,
-    }
-
-    // (group key, its pre-derived spec) work items, chunkable across threads.
-    let work: Vec<(&GroupKey, &BinSpec)> = plan
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(g, key)| {
-            plan.spec_of(g)
-                .map(|spec| (key, spec))
-                .ok_or_else(|| CoreError::Invalid(format!("scan group {g} has no bin spec")))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let compute_group = |&(key, spec): &(&GroupKey, &BinSpec)| -> Result<GroupData, CoreError> {
-        let (dimension, _bins, measure) = key;
-        Ok(GroupData {
-            target: group_by_all(table, dq, dimension, spec, measure)?,
-            reference: group_by_all(table, dr, dimension, spec, measure)?,
-            bins: spec.bin_count(),
-        })
-    };
-
-    let groups: Vec<GroupData> = if threads <= 1 || work.len() < 2 {
-        work.iter().map(compute_group).collect::<Result<_, _>>()?
-    } else {
-        let threads = threads.min(work.len());
-        let chunk = work.len().div_ceil(threads);
-        let results: Vec<Result<Vec<GroupData>, CoreError>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .chunks(chunk)
-                .map(|slice| {
-                    s.spawn(move |_| {
-                        slice
-                            .iter()
-                            .map(compute_group)
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(CoreError::Invalid(
-                            "shared materialization worker panicked".into(),
-                        ))
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|_| {
-            vec![Err(CoreError::Invalid(
-                "shared materialization scope panicked".into(),
-            ))]
-        });
-        let mut out = Vec::with_capacity(work.len());
-        for r in results {
-            out.extend(r?);
-        }
-        out
-    };
-
     space
         .defs()
         .iter()
-        .zip(&plan.view_groups)
-        .map(|(def, &g)| {
-            let group = groups.get(g).ok_or_else(|| {
-                CoreError::Invalid(format!("view maps to missing scan group {g}"))
-            })?;
-            Ok(ViewData {
-                target: Distribution::from_aggregates(group.target.aggregates(def.aggregate))?,
-                reference: Distribution::from_aggregates(
-                    group.reference.aggregates(def.aggregate),
-                )?,
-                target_rows: group.target.total_rows(),
-                dispersion: group.target.dispersion,
-                bins: group.bins,
-            })
-        })
+        .map(|def| materialize_view(table, dq, dr, def))
         .collect()
-}
-
-/// Number of distinct `(dimension, bins, measure)` scan groups in `space` —
-/// the scan-sharing denominator of [`materialize_all_shared`] and the fused
-/// executor (each group costs the shared path two scans and the fused path
-/// one accumulator block).
-#[must_use]
-pub fn scan_group_count(space: &ViewSpace) -> usize {
-    let mut distinct = std::collections::HashSet::new();
-    for def in space.defs() {
-        distinct.insert((def.dimension.as_str(), def.bins, def.measure.as_str()));
-    }
-    distinct.len()
 }
 
 /// Materializes every view of `space` with the fused executor: every scan
@@ -355,9 +193,9 @@ pub fn scan_group_count(space: &ViewSpace) -> usize {
 /// distinct `(dimension, bins)` pair.
 ///
 /// The result is bit-identical for any `threads` value. Against
-/// [`materialize_all`] / [`materialize_all_shared`] it is exact on
-/// exactly-representable measure values and agrees to ULP-level rounding
-/// otherwise (the partition merge reassociates floating-point sums).
+/// [`materialize_all`] it is exact on exactly-representable measure values
+/// and agrees to ULP-level rounding otherwise (the partition merge
+/// reassociates floating-point sums).
 ///
 /// # Errors
 ///
@@ -622,45 +460,6 @@ mod tests {
             .all(|m| (m - 1.0 / n).abs() < 1e-12));
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let t = generate_diab(&DiabConfig::small(1_000, 4)).unwrap();
-        let dq = SelectQuery::new(Predicate::eq("a2", "a2_v0"))
-            .execute(&t)
-            .unwrap();
-        let space = ViewSpace::enumerate(&t, &[3]).unwrap();
-        let serial = materialize_all(&t, &dq, &t.all_rows(), &space, 1).unwrap();
-        let parallel = materialize_all(&t, &dq, &t.all_rows(), &space, 4).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), space.len());
-    }
-
-    #[test]
-    fn shared_materialization_matches_naive() {
-        let t = generate_diab(&DiabConfig::small(1_500, 8)).unwrap();
-        let dq = SelectQuery::new(Predicate::eq("a1", "a1_v1"))
-            .execute(&t)
-            .unwrap();
-        let space = ViewSpace::enumerate(&t, &[3, 4]).unwrap();
-        let naive = materialize_all(&t, &dq, &t.all_rows(), &space, 1).unwrap();
-        let shared = materialize_all_shared(&t, &dq, &t.all_rows(), &space, 1).unwrap();
-        assert_eq!(naive, shared);
-        let shared_par = materialize_all_shared(&t, &dq, &t.all_rows(), &space, 4).unwrap();
-        assert_eq!(naive, shared_par);
-    }
-
-    #[test]
-    fn shared_materialization_on_numeric_dims() {
-        let t = generate_syn(&SynConfig::small(2_000, 9)).unwrap();
-        let dq = SelectQuery::new(Predicate::range("d1", 0.0, 30.0))
-            .execute(&t)
-            .unwrap();
-        let space = ViewSpace::enumerate(&t, &[3, 4]).unwrap();
-        let naive = materialize_all(&t, &dq, &t.all_rows(), &space, 1).unwrap();
-        let shared = materialize_all_shared(&t, &dq, &t.all_rows(), &space, 2).unwrap();
-        assert_eq!(naive, shared);
-    }
-
     /// `a` equals `b` up to the fused executor's float contract: counts and
     /// shapes exactly, sum-derived floats within ULP-level relative error
     /// (the hits + complement derivation of the reference aggregates
@@ -694,7 +493,7 @@ mod tests {
             .execute(&t)
             .unwrap();
         let space = ViewSpace::enumerate(&t, &[3, 4]).unwrap();
-        let naive = materialize_all(&t, &dq, &t.all_rows(), &space, 1).unwrap();
+        let naive = materialize_all(&t, &dq, &t.all_rows(), &space).unwrap();
         for threads in [1, 4] {
             let fused = materialize_all_fused(&t, &dq, &t.all_rows(), &space, threads).unwrap();
             assert_views_close(&naive, &fused, &format!("threads={threads}"));

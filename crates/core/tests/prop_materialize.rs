@@ -1,24 +1,24 @@
-//! Differential property tests for the three materialization executors.
+//! Differential property tests for the fused materialization executor.
 //!
 //! The fused executor's correctness argument has two halves, and each half
 //! gets its own property:
 //!
-//! 1. **Exactness against the oracles.** On measure values that are exactly
-//!    representable (integers), f64 addition never rounds, so accumulation
-//!    order cannot matter and the fused executor must match
-//!    [`materialize_all`] and [`materialize_all_shared`] *bit-identically*
-//!    — counts, sums, averages, mins, maxs, and dispersion — at every
+//! 1. **Exactness against the reference.** On measure values that are
+//!    exactly representable (integers), f64 addition never rounds, so
+//!    accumulation order cannot matter and the fused executor must match
+//!    the view-at-a-time [`materialize_all`] *bit-identically* — counts,
+//!    sums, averages, mins, maxs, and dispersion — at every
 //!    thread count. Negative and zero measures are included deliberately:
 //!    sums that cancel to zero and min/max over negatives are where sign
 //!    and identity-element bugs hide.
 //! 2. **Thread invariance on arbitrary floats.** On continuous measures the
-//!    oracles and the fused path may differ by final-ULP rounding (the
+//!    reference and the fused path may differ by final-ULP rounding (the
 //!    partition merge reassociates sums), but the fused executor itself is
 //!    required to be bit-identical for *any* thread count, because its
 //!    partition grid depends only on the data.
 
 use proptest::prelude::*;
-use viewseeker_core::viewgen::{materialize_all, materialize_all_fused, materialize_all_shared};
+use viewseeker_core::viewgen::{materialize_all, materialize_all_fused};
 use viewseeker_core::ViewSpace;
 use viewseeker_dataset::{Column, Predicate, Schema, Table};
 
@@ -40,7 +40,7 @@ fn arb_exact_table() -> impl Strategy<Value = Table> {
 }
 
 /// Like [`arb_exact_table`] but with continuous measure values, where only
-/// thread invariance (not oracle bit-identity) is guaranteed.
+/// thread invariance (not reference bit-identity) is guaranteed.
 fn arb_float_table() -> impl Strategy<Value = Table> {
     (1usize..2600).prop_flat_map(|n| {
         (
@@ -87,16 +87,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn all_three_executors_agree_bit_identically_on_exact_values(
+    fn fused_matches_the_reference_bit_identically_on_exact_values(
         table in arb_exact_table(),
         predicate in arb_predicate(),
     ) {
         let dq = predicate.evaluate(&table).unwrap();
         let dr = table.all_rows();
         let space = ViewSpace::enumerate(&table, &[2, 3]).unwrap();
-        let naive = materialize_all(&table, &dq, &dr, &space, 1).unwrap();
-        let shared = materialize_all_shared(&table, &dq, &dr, &space, 1).unwrap();
-        prop_assert_eq!(&naive, &shared);
+        let naive = materialize_all(&table, &dq, &dr, &space).unwrap();
         for threads in [1usize, 2, 8] {
             let fused = materialize_all_fused(&table, &dq, &dr, &space, threads).unwrap();
             prop_assert_eq!(&naive, &fused, "fused(threads={}) diverged", threads);

@@ -70,7 +70,7 @@ fn check_pruned_matches_naive_oracle(table: &Table, predicate: &Predicate, group
     let dq = predicate.evaluate(table).unwrap();
     let dr = table.all_rows();
     let space = ViewSpace::enumerate(table, &[2, 3]).unwrap();
-    let naive = materialize_all(table, &dq, &dr, &space, 1).unwrap();
+    let naive = materialize_all(table, &dq, &dr, &space).unwrap();
     let zones = ZoneMaps::build(table, group_rows);
     let n_groups = zones.groups.len() as u64;
     for threads in [1usize, 2, 8] {

@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use viewseeker_core::viewgen::materialize_all_shared;
+use viewseeker_core::viewgen::materialize_all_fused;
 use viewseeker_core::ViewSpace;
 use viewseeker_core::{
     tie_aware_precision_at_k, utility_distance, CompositeUtility, CoreError, FeatureMatrix,
@@ -105,7 +105,7 @@ pub fn exact_feature_matrix(
     let dr = table.all_rows();
     let space =
         ViewSpace::enumerate_excluding(table, &config.bin_configs, &config.excluded_dimensions)?;
-    let views = materialize_all_shared(table, &dq, &dr, &space, config.init_threads)?;
+    let views = materialize_all_fused(table, &dq, &dr, &space, config.effective_threads())?;
     FeatureMatrix::from_views(&views, config.usability_optimal_bins)
 }
 

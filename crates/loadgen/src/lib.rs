@@ -9,7 +9,7 @@
 //! previous response is fully parsed, so offered load adapts to server
 //! latency instead of queueing unboundedly inside the client.
 //!
-//! The client rides the same building blocks as the server's event path:
+//! The client rides the same building blocks as the server's reactor:
 //! [`viewseeker_net::sys::Poller`] for readiness, the incremental
 //! [`viewseeker_net::http1`] parser for framing, and the log-linear
 //! [`viewseeker_net::hist::Histogram`] for latency quantiles. A `503`

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use viewseeker_server::{serve_app, IoModel, LogFormat, LogLevel, ServerConfig};
+use viewseeker_server::{serve_app, LogFormat, LogLevel, ServerConfig};
 
 #[test]
 fn loadgen_completes_sessions_with_zero_protocol_errors() {
@@ -19,8 +19,6 @@ fn loadgen_completes_sessions_with_zero_protocol_errors() {
         catalog_mem_budget: 64 << 20,
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
-        io: IoModel::Event,
         ..Default::default()
     })
     .expect("bind");

@@ -1,13 +1,12 @@
-//! Incremental HTTP/1.1 parsing and encoding, shared by the event
-//! reactor and the blocking oracle path in `viewseeker-server`.
+//! Incremental HTTP/1.1 parsing and encoding for the event reactor (and
+//! for clients: [`parse_response`] reads what [`encode_response`] wrote).
 //!
 //! The parser is a pure function over a byte buffer: callers append
 //! whatever the socket produced (one byte at a time is fine) and call
 //! [`parse_request`] again. `Ok(None)` means "incomplete, read more";
 //! `Ok(Some(_))` reports how many bytes the request consumed so the
 //! caller can drain them and immediately re-parse — which is exactly
-//! pipelining. Framing is `Content-Length` only (no chunked bodies), the
-//! same scope the blocking server always had.
+//! pipelining. Framing is `Content-Length` only (no chunked bodies).
 //!
 //! Hard limits keep hostile clients bounded: a header block over
 //! [`MAX_HEADER_BYTES`] is rejected with `431`, a declared body over

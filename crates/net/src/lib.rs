@@ -13,10 +13,9 @@
 //!   workspace allowed to contain `unsafe`** (enforced by the vslint
 //!   `forbid-unsafe` rule); everything above it consumes a safe
 //!   [`sys::Poller`] API.
-//! * [`http1`] — the incremental HTTP/1.1 parser and encoder shared by
-//!   this reactor and the blocking oracle path in `viewseeker-server`:
-//!   tolerant of partial reads and split CRLFs, strict about oversized
-//!   header blocks (`431`) and bodies (`413`).
+//! * [`http1`] — the incremental HTTP/1.1 parser and encoder: tolerant of
+//!   partial reads and split CRLFs, strict about oversized header blocks
+//!   (`431`) and bodies (`413`).
 //! * [`hist`] — the log-linear latency histogram (re-exported by
 //!   `viewseeker-server::hist`), used here for loop-tick timing and by
 //!   `viewseeker-loadgen` for client-side latencies.
@@ -34,8 +33,7 @@
 //!
 //! This crate is deliberately protocol-only: it knows nothing about
 //! sessions, datasets, or JSON. `viewseeker-server` mounts its `Router`
-//! behind [`http1::Handler`] and selects this reactor with
-//! `serve --io event`.
+//! behind [`http1::Handler`] and serves it on this reactor.
 
 // The one sanctioned hole in the workspace-wide `forbid(unsafe_code)`
 // policy: `deny` here (instead of `forbid`) so the `sys` module alone can

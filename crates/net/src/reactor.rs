@@ -914,6 +914,36 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_connections_are_answered_across_the_pool() {
+        let config = EventConfig {
+            workers: 4,
+            ..EventConfig::default()
+        };
+        let (handle, _, _) = start(config);
+        let addr = handle.addr();
+        // Twice as many clients as workers, released together, each on its
+        // own connection: every one gets its own answer.
+        let gate = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for i in 0..8 {
+                let gate = &gate;
+                s.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    gate.wait();
+                    let request =
+                        format!("GET /ping/{i}?sleep_ms=20 HTTP/1.1\r\nConnection: close\r\n\r\n");
+                    stream.write_all(request.as_bytes()).unwrap();
+                    let mut out = String::new();
+                    stream.read_to_string(&mut out).unwrap();
+                    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+                    assert!(out.contains(&format!("/ping/{i}")), "{out}");
+                });
+            }
+        });
+        handle.shutdown();
+    }
+
+    #[test]
     fn overload_sheds_503_with_retry_after_and_keeps_the_connection() {
         let config = EventConfig {
             workers: 1,
@@ -1075,6 +1105,7 @@ mod tests {
         let mut out = String::new();
         garbage.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(out.contains("Connection: close"), "{out}");
         assert!(out.contains("X-Request-Id: "), "{out}");
 
         // Sink sees: the shed (503, shed flag, queue_wait span) and the

@@ -18,8 +18,9 @@
 //! * the epoll fd is closed exactly once, in `Drop`.
 //!
 //! On non-Linux platforms the module compiles to a stub whose constructor
-//! returns `ErrorKind::Unsupported`, keeping the crate buildable (the
-//! blocking I/O path in `viewseeker-server` remains available there).
+//! returns `ErrorKind::Unsupported`, keeping the crate — and everything
+//! above it that never serves, the library and the offline tools —
+//! buildable there.
 
 /// Readiness reported for one registered file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,8 +247,7 @@ mod fallback {
     use std::os::fd::RawFd;
 
     /// Stub poller for non-Linux builds: construction fails with
-    /// [`io::ErrorKind::Unsupported`], steering callers to the blocking
-    /// I/O path.
+    /// [`io::ErrorKind::Unsupported`]: serving needs Linux.
     #[derive(Debug)]
     pub struct Poller {}
 
@@ -260,7 +260,7 @@ mod fallback {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "the event-driven reactor requires epoll (Linux); use --io blocking",
+                "the event-driven reactor requires epoll (Linux)",
             ))
         }
 

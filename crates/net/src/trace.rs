@@ -1,9 +1,8 @@
 //! Per-request tracing: ids, span trees, tail sampling, and exports.
 //!
-//! Every request travelling through the reactor (or the blocking oracle
-//! path in `viewseeker-server`) carries an [`ActiveTrace`]: a cheap
-//! cloneable handle the I/O layer and the request handler both stamp
-//! stage spans into — parse, admission-queue wait, dispatch, handler
+//! Every request travelling through the reactor carries an
+//! [`ActiveTrace`]: a cheap cloneable handle the I/O layer and the
+//! request handler both stamp stage spans into — parse, admission-queue wait, dispatch, handler
 //! (with the seeker's `core::trace` phases nested inside), serialize,
 //! and buffered write/flush. When the response's last byte reaches the
 //! socket the trace is finalized into a [`RequestTrace`] and handed to a
@@ -409,7 +408,7 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     fn record(&self, trace: RequestTrace);
 }
 
-/// Discards every trace (tests; tracing disabled).
+/// Discards every trace: the fake for tests that observe none.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopTraceSink;
 

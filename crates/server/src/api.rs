@@ -16,13 +16,8 @@ use crate::registry::{PersistedSession, SessionEntry, SessionRegistry, SessionSp
 
 /// Deployment facts a shard reports on `GET /healthz` — fixed at
 /// startup (and by the shard router when it builds shard states).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeInfo {
-    /// The I/O path serving requests: `"blocking"`, `"event"`, or
-    /// `"embedded"` when no listener runs (in-process use, tests).
-    pub io: String,
-    /// Whether per-request tracing feeds the tail sampler.
-    pub tracing: bool,
     /// This shard's index among the process's local shards.
     pub shard_id: usize,
     /// Local shards in this process (`1` = unsharded).
@@ -32,8 +27,6 @@ pub struct RuntimeInfo {
 impl Default for RuntimeInfo {
     fn default() -> Self {
         Self {
-            io: "embedded".to_owned(),
-            tracing: false,
             shard_id: 0,
             shard_count: 1,
         }
@@ -54,7 +47,7 @@ pub struct AppState {
     /// The structured event/access logger.
     pub logger: Arc<Logger>,
     /// Reactor counters behind the `viewseeker_net_*` series. All-zero
-    /// under the blocking I/O path (no reactor runs there).
+    /// when no listener runs (in-process use, tests).
     pub net: Arc<viewseeker_net::NetStats>,
     /// The tail sampler retaining the slowest/errored/shed request
     /// traces, exported by `GET /debug/traces`.
@@ -120,7 +113,7 @@ impl AppState {
             cluster: Arc::clone(&self.cluster),
             runtime: RuntimeInfo {
                 shard_id,
-                ..self.runtime.clone()
+                ..self.runtime
             },
             started: self.started,
         }
@@ -541,11 +534,6 @@ pub struct Health {
     pub sessions: usize,
     /// Sessions evicted by this probe's TTL sweep.
     pub evicted: Vec<String>,
-    /// The I/O path serving requests (`"blocking"` / `"event"` /
-    /// `"embedded"`).
-    pub io: String,
-    /// Whether per-request tracing is on.
-    pub tracing: bool,
     /// This shard's index among the process's local shards.
     pub shard_id: usize,
     /// Local shards in this process (`1` = unsharded).
@@ -568,8 +556,6 @@ pub fn healthz(state: &AppState) -> Result<Health, ServerError> {
         uptime_secs: state.started.elapsed().as_secs(),
         sessions: state.registry.len(),
         evicted,
-        io: state.runtime.io.clone(),
-        tracing: state.runtime.tracing,
         shard_id: state.runtime.shard_id,
         shard_count: state.runtime.shard_count,
         endpoints: state.metrics.report(),
@@ -612,16 +598,16 @@ pub fn debug_traces(
     state: &AppState,
     format: &str,
     limit: usize,
-) -> Result<crate::http::Response, ServerError> {
+) -> Result<viewseeker_net::http1::Response, ServerError> {
     let mut kept = state.traces.snapshot();
     if limit > 0 {
         kept.truncate(limit);
     }
     match format {
-        "chrome" => Ok(crate::http::Response::json(
+        "chrome" => Ok(viewseeker_net::http1::Response::json(
             viewseeker_net::trace::chrome_trace_json(&kept),
         )),
-        "folded" => Ok(crate::http::Response::text(
+        "folded" => Ok(viewseeker_net::http1::Response::text(
             viewseeker_net::trace::folded_stacks(&kept),
         )),
         other => Err(ServerError::BadRequest(format!(

@@ -38,10 +38,10 @@ use crossbeam::channel;
 use serde::Serialize;
 use viewseeker_cluster::{ClusterStats, HashRing, Peer};
 use viewseeker_core::trace::Stopwatch;
+use viewseeker_net::http1::{Handler, Request, Response};
 
 use crate::api::{self, AppState};
 use crate::error::ServerError;
-use crate::http::{Handler, Request, Response};
 use crate::registry::{PersistedSession, SessionSpec};
 use crate::router::Router;
 
@@ -417,8 +417,6 @@ impl ShardRouter {
             uptime_secs: state.started.elapsed().as_secs(),
             sessions,
             evicted,
-            io: state.runtime.io.clone(),
-            tracing: state.runtime.tracing,
             shard_id: state.runtime.shard_id,
             shard_count: state.runtime.shard_count,
             endpoints: state.metrics.report(),

@@ -7,11 +7,9 @@
 //! JSON service so many users (or experiment harnesses) can run concurrent
 //! sessions against one process:
 //!
-//! * [`http`] — the blocking HTTP path: `std::net::TcpListener` accept
-//!   loop feeding a fixed worker pool through a crossbeam channel, kept as
-//!   the differential oracle for the event path. The default I/O model is
-//!   the `viewseeker-net` epoll reactor (`serve --io event`); both paths
-//!   share one incremental HTTP/1.1 parser (`viewseeker_net::http1`).
+//! * I/O is the `viewseeker-net` epoll reactor and its incremental
+//!   HTTP/1.1 parser (`viewseeker_net::http1`); this crate supplies the
+//!   [`viewseeker_net::http1::Handler`] it serves.
 //! * [`router`] — method/path dispatch with per-endpoint latency metrics.
 //! * [`registry`] — the concurrent session table: `RwLock` map of
 //!   per-session `Mutex<OwnedSeeker>` entries, with a max-session cap and
@@ -42,11 +40,8 @@
 //!     catalog_mem_budget: 64 << 20,
 //!     log_format: LogFormat::Text,
 //!     log_level: LogLevel::Off,
-//!     default_executor: Default::default(),
-//!     io: Default::default(),
 //!     max_inflight: 256,
 //!     queue_deadline_ms: 500,
-//!     tracing: true,
 //!     shards: 1,
 //!     peers: Vec::new(),
 //! };
@@ -62,7 +57,6 @@ pub mod api;
 pub mod cluster;
 pub mod error;
 pub mod hist;
-pub mod http;
 pub mod log;
 pub mod metrics;
 pub mod prometheus;
@@ -77,7 +71,6 @@ use std::time::Duration;
 pub use api::AppState;
 pub use cluster::ShardRouter;
 pub use error::ServerError;
-pub use http::{Request, Response, ServerHandle};
 pub use log::{LogFormat, LogLevel, Logger};
 pub use registry::{PersistedSession, SessionRegistry, SessionSpec};
 pub use router::Router;
@@ -97,7 +90,7 @@ pub struct ServerConfig {
     /// persist).
     pub snapshot_dir: Option<PathBuf>,
     /// Dataset catalog directory (`--data-dir`): imported CSVs are stored
-    /// here in the VSC1 columnar format and survive restarts. `None` keeps
+    /// here in the VSC2 columnar format and survive restarts. `None` keeps
     /// the catalog memory-only.
     pub data_dir: Option<PathBuf>,
     /// Byte budget for the catalog's in-memory table cache
@@ -108,26 +101,12 @@ pub struct ServerConfig {
     pub log_format: LogFormat,
     /// Minimum severity written to stderr (`--log-level`).
     pub log_level: LogLevel,
-    /// Materialization executor for sessions whose spec does not name one
-    /// (`--executor naive|shared|fused`; default: fused).
-    pub default_executor: viewseeker_core::MaterializeStrategy,
-    /// Which I/O path serves requests (`--io blocking|event`; default:
-    /// event). Blocking is kept as a differential oracle for one release.
-    pub io: IoModel,
-    /// Event path only: max requests dispatched to the worker pool at
-    /// once (`--max-inflight`); excess requests wait in the admission
-    /// queue.
+    /// Max requests dispatched to the worker pool at once
+    /// (`--max-inflight`); excess requests wait in the admission queue.
     pub max_inflight: usize,
-    /// Event path only: max milliseconds a request may wait in the
-    /// admission queue before being shed with `503 + Retry-After`
-    /// (`--queue-deadline-ms`).
+    /// Max milliseconds a request may wait in the admission queue before
+    /// being shed with `503 + Retry-After` (`--queue-deadline-ms`).
     pub queue_deadline_ms: u64,
-    /// Per-request tracing (`--tracing false` disables): feeds the tail
-    /// sampler behind `GET /debug/traces` and the
-    /// `viewseeker_request_stage_seconds` histograms. `false` installs a
-    /// no-op sink — request ids are still generated and echoed; this knob
-    /// exists so the differential oracle can price the tracing overhead.
-    pub tracing: bool,
     /// Local session shards (`serve --shards N`; default 1). Above 1,
     /// requests are consistent-hash routed by session id onto per-shard
     /// registries, each with its own worker pool and lock domain.
@@ -138,68 +117,27 @@ pub struct ServerConfig {
     pub peers: Vec<String>,
 }
 
-/// The I/O model behind [`serve_app`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Thread-per-connection blocking path ([`http`]).
-    Blocking,
-    /// Epoll reactor with admission control (`viewseeker-net`).
-    #[default]
-    Event,
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(IoModel::Blocking),
-            "event" => Ok(IoModel::Event),
-            other => Err(format!("unknown io model {other:?} (blocking|event)")),
-        }
-    }
-}
-
-/// A running server on either I/O path; the common `addr`/`shutdown`
-/// surface the CLI and tests need.
-pub enum AppHandle {
-    /// The blocking oracle path.
-    Blocking(ServerHandle),
-    /// The event reactor.
-    Event(viewseeker_net::EventHandle),
-    /// A sharded/peered deployment: the inner listener plus the shard
-    /// router, which drains local sessions to the peers on shutdown.
-    Clustered {
-        /// The listener actually serving the shard router.
-        inner: Box<AppHandle>,
-        /// The consistent-hash front door.
-        router: Arc<cluster::ShardRouter>,
-    },
+/// A running server: the `addr`/`shutdown` surface the CLI and tests need.
+pub struct AppHandle {
+    event: viewseeker_net::EventHandle,
+    /// Shutdown first drains local sessions to the router's peers.
+    router: Arc<cluster::ShardRouter>,
 }
 
 impl AppHandle {
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            AppHandle::Blocking(h) => h.addr(),
-            AppHandle::Event(h) => h.addr(),
-            AppHandle::Clustered { inner, .. } => inner.addr(),
-        }
+        self.event.addr()
     }
 
     /// Stops serving, drains in-flight work, and joins every thread. A
-    /// clustered handle first migrates local sessions to its peers (the
-    /// graceful drain), so a rolling restart loses no session state.
+    /// peered deployment first migrates local sessions to its peers (the
+    /// graceful drain, a no-op without peers), so a rolling restart loses
+    /// no session state.
     pub fn shutdown(self) {
-        match self {
-            AppHandle::Blocking(h) => h.shutdown(),
-            AppHandle::Event(h) => h.shutdown(),
-            AppHandle::Clustered { inner, router } => {
-                router.drain_to_peers();
-                inner.shutdown();
-            }
-        }
+        self.router.drain_to_peers();
+        self.event.shutdown();
     }
 }
 
@@ -215,24 +153,19 @@ impl Default for ServerConfig {
             catalog_mem_budget: 512 << 20,
             log_format: LogFormat::Text,
             log_level: LogLevel::Info,
-            default_executor: viewseeker_core::MaterializeStrategy::default(),
-            io: IoModel::default(),
             max_inflight: 256,
             queue_deadline_ms: 500,
-            tracing: true,
             shards: 1,
             peers: Vec::new(),
         }
     }
 }
 
-/// Builds the catalog + registry + router and starts serving on the
-/// configured I/O path.
+/// Builds the catalog + registry + router and starts serving.
 ///
 /// # Errors
 ///
-/// Propagates catalog-directory, TCP bind, and (event path) epoll setup
-/// failures.
+/// Propagates catalog-directory, TCP bind, and epoll setup failures.
 pub fn serve_app(config: &ServerConfig) -> std::io::Result<AppHandle> {
     let catalog = Arc::new(match &config.data_dir {
         Some(dir) => viewseeker_catalog::Catalog::open(dir, config.catalog_mem_budget)
@@ -242,40 +175,28 @@ pub fn serve_app(config: &ServerConfig) -> std::io::Result<AppHandle> {
     let shard_count = config.shards.max(1);
     let max_sessions_per_shard = config.max_sessions.div_ceil(shard_count);
     let make_registry = || {
-        let mut registry = SessionRegistry::with_catalog(
+        SessionRegistry::with_catalog(
             max_sessions_per_shard,
             config.ttl,
             config.snapshot_dir.clone(),
             Arc::clone(&catalog),
-        );
-        registry.set_default_executor(config.default_executor);
-        registry
+        )
     };
     let logger = Logger::stderr(config.log_format, config.log_level);
     let mut state0 = AppState::with_logger(make_registry(), logger);
     state0.runtime = api::RuntimeInfo {
-        io: match config.io {
-            IoModel::Blocking => "blocking".to_owned(),
-            IoModel::Event => "event".to_owned(),
-        },
-        tracing: config.tracing,
         shard_id: 0,
         shard_count,
     };
     let state0 = Arc::new(state0);
     let queue_depth = state0.metrics.counters().queue_depth_handle();
     let net = Arc::clone(&state0.net);
-    let sink: Arc<dyn viewseeker_net::TraceSink> = if config.tracing {
-        Arc::new(trace::ServerTraceSink::new(Arc::clone(&state0)))
-    } else {
-        Arc::new(viewseeker_net::NoopTraceSink)
-    };
+    let sink = Arc::new(trace::ServerTraceSink::new(Arc::clone(&state0)));
     let mut shard_routers = vec![Arc::new(Router::new(Arc::clone(&state0)))];
     for shard_id in 1..shard_count {
         let state = Arc::new(state0.sibling(make_registry(), shard_id));
         shard_routers.push(Arc::new(Router::new(state)));
     }
-    let clustered = shard_count > 1 || !config.peers.is_empty();
     let router = Arc::new(
         cluster::ShardRouter::new(
             shard_routers,
@@ -284,40 +205,19 @@ pub fn serve_app(config: &ServerConfig) -> std::io::Result<AppHandle> {
         )
         .map_err(|e| std::io::Error::other(format!("building shard router: {e}")))?,
     );
-    let handler = Arc::clone(&router);
-    let inner = match config.io {
-        IoModel::Blocking => http::serve_observed(
-            config.addr.as_str(),
-            config.workers,
-            handler,
-            queue_depth,
-            sink,
-        )
-        .map(AppHandle::Blocking)?,
-        IoModel::Event => {
-            let event_config = viewseeker_net::EventConfig {
-                workers: config.workers,
-                max_inflight: config.max_inflight,
-                queue_deadline: Duration::from_millis(config.queue_deadline_ms),
-                ..viewseeker_net::EventConfig::default()
-            };
-            viewseeker_net::serve_event(
-                config.addr.as_str(),
-                event_config,
-                handler,
-                net,
-                queue_depth,
-                sink,
-            )
-            .map(AppHandle::Event)?
-        }
+    let event_config = viewseeker_net::EventConfig {
+        workers: config.workers,
+        max_inflight: config.max_inflight,
+        queue_deadline: Duration::from_millis(config.queue_deadline_ms),
+        ..viewseeker_net::EventConfig::default()
     };
-    Ok(if clustered {
-        AppHandle::Clustered {
-            inner: Box::new(inner),
-            router,
-        }
-    } else {
-        inner
-    })
+    let event = viewseeker_net::serve_event(
+        config.addr.as_str(),
+        event_config,
+        Arc::clone(&router),
+        net,
+        queue_depth,
+        sink,
+    )?;
+    Ok(AppHandle { event, router })
 }

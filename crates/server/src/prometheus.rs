@@ -48,7 +48,7 @@ static SERIES: &[SeriesDef] = &[
     SeriesDef {
         name: "viewseeker_worker_queue_depth",
         kind: "gauge",
-        help: "Requests awaiting dispatch to a worker (event path: admission-queue length; blocking path: accepted connections not yet picked up).",
+        help: "Requests waiting in the admission queue for a worker.",
     },
     SeriesDef {
         name: "viewseeker_net_accepted_total",

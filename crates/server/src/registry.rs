@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use viewseeker_catalog::{Catalog, CatalogError, DatasetEntry};
 use viewseeker_core::persist::SessionSnapshot;
 use viewseeker_core::trace::{Recorder, Tracer};
-use viewseeker_core::{MaterializeStrategy, OwnedSeeker, Seeker, ViewSeekerConfig};
+use viewseeker_core::{OwnedSeeker, Seeker, ViewSeekerConfig};
 use viewseeker_dataset::{Predicate, SelectQuery};
 
 use crate::error::ServerError;
@@ -59,10 +59,6 @@ pub struct SessionSpec {
     pub exclude: Option<Vec<String>>,
     /// Bin configurations for numeric dimensions.
     pub bins: Option<Vec<usize>>,
-    /// Materialization executor: `"naive"`, `"shared"`, or `"fused"`
-    /// (default: fused). The slower executors are kept reachable so a
-    /// deployment can cross-check the fused path against its oracles.
-    pub executor: Option<String>,
 }
 
 impl SessionSpec {
@@ -78,14 +74,13 @@ impl SessionSpec {
             alpha: None,
             exclude: None,
             bins: None,
-            executor: None,
         }
     }
 
     /// Resolves the spec's dataset through `catalog`: `"diab"`/`"syn"` are
     /// materialized from the generators (once — later specs with the same
     /// parameters share the cached table), anything else is looked up as a
-    /// catalog dataset name (uploaded CSV or pre-imported VSC1). Identical
+    /// catalog dataset name (uploaded CSV or pre-imported table). Identical
     /// specs resolve to pointer-equal `Arc<Table>`s.
     ///
     /// # Errors
@@ -138,7 +133,9 @@ impl SessionSpec {
     ///
     /// # Errors
     ///
-    /// [`ServerError::BadRequest`] for an unknown executor name.
+    /// None at present — range checks run in [`ViewSeekerConfig::validate`]
+    /// at session construction; the `Result` is the signature callers
+    /// already handle.
     pub fn build_config(&self) -> Result<ViewSeekerConfig, ServerError> {
         let mut config = ViewSeekerConfig::default();
         if let Some(alpha) = self.alpha {
@@ -149,11 +146,6 @@ impl SessionSpec {
         }
         if let Some(bins) = &self.bins {
             config.bin_configs = bins.clone();
-        }
-        if let Some(executor) = &self.executor {
-            config.materialize = executor
-                .parse()
-                .map_err(|e: String| ServerError::BadRequest(format!("bad executor: {e}")))?;
         }
         Ok(config)
     }
@@ -285,7 +277,6 @@ pub struct SessionRegistry {
     catalog: Arc<Catalog>,
     counters: Arc<Counters>,
     logger: Arc<Logger>,
-    default_executor: MaterializeStrategy,
 }
 
 /// Cache budget of the private in-memory catalog behind
@@ -329,16 +320,7 @@ impl SessionRegistry {
             catalog,
             counters: Arc::new(Counters::default()),
             logger: Logger::disabled(),
-            default_executor: MaterializeStrategy::default(),
         }
-    }
-
-    /// Sets the executor used by sessions whose spec does not name one
-    /// (`viewseeker serve --executor`). The chosen executor is written back
-    /// into the session's spec, so snapshots replay with the executor the
-    /// session was actually built with.
-    pub fn set_default_executor(&mut self, executor: MaterializeStrategy) {
-        self.default_executor = executor;
     }
 
     /// The catalog sessions resolve their datasets through.
@@ -433,11 +415,6 @@ impl SessionRegistry {
             }
             None => None,
         };
-        // Pin the executor into the spec so the snapshot records which one
-        // actually built the session, even if the server default changes.
-        if spec.executor.is_none() {
-            spec.executor = Some(self.default_executor.name().to_owned());
-        }
         let dataset = spec.resolve_dataset(&self.catalog)?;
         let recorder = Recorder::shared();
         let seeker = spec.build_seeker_on(&dataset, Arc::clone(&recorder) as Arc<dyn Tracer>)?;
@@ -445,13 +422,8 @@ impl SessionRegistry {
             .unwrap_or_else(|| format!("s{}", self.next_id.fetch_add(1, Ordering::SeqCst)));
         let entry = self.insert(id, spec, &dataset, seeker, recorder)?;
         Counters::bump(&self.counters.sessions_created);
-        let (views, executor, scans) = entry.seeker.lock().map_or((0, "?", 0), |sk| {
-            let report = sk.materialization();
-            (
-                sk.view_space().len() as u64,
-                report.strategy.name(),
-                report.scans,
-            )
+        let (views, scans) = entry.seeker.lock().map_or((0, 0), |sk| {
+            (sk.view_space().len() as u64, sk.materialization().scans)
         });
         self.logger.info(
             "session_created",
@@ -459,7 +431,6 @@ impl SessionRegistry {
                 ("session", s(&entry.id)),
                 ("dataset", s(&entry.dataset_name)),
                 ("views", n(views)),
-                ("executor", s(executor)),
                 ("materialize_scans", n(scans)),
             ],
         );
@@ -533,14 +504,11 @@ impl SessionRegistry {
                 )));
             }
         }
-        let query = persisted.spec.build_query()?;
         let recorder = Recorder::shared();
-        let seeker = persisted.snapshot.restore_seeker_traced(
-            Arc::clone(&dataset.table),
-            &query,
-            persisted.spec.build_config()?,
-            Arc::clone(&recorder) as Arc<dyn Tracer>,
-        )?;
+        let mut seeker = persisted
+            .spec
+            .build_seeker_on(&dataset, Arc::clone(&recorder) as Arc<dyn Tracer>)?;
+        persisted.snapshot.replay_onto(&mut seeker)?;
         self.insert(
             persisted.id.clone(),
             persisted.spec.clone(),
@@ -922,7 +890,13 @@ mod tests {
         let dir = tmp_dir("evict");
         let registry = SessionRegistry::new(1, Duration::from_secs(600), Some(dir.clone()));
 
-        let first = registry.create(spec()).unwrap();
+        // The body names an executor, as clients of earlier releases did:
+        // the key is unknown now and ignored like any other.
+        let body =
+            r#"{"dataset":"diab","rows":800,"seed":5,"query":"a0 = 'a0_v0'","executor":"shared"}"#;
+        let from_body: SessionSpec = serde_json::from_str(body).unwrap();
+        assert_eq!(from_body, spec());
+        let first = registry.create(from_body).unwrap();
         let first_id = first.id.clone();
         let weights_before = {
             let mut seeker = first.seeker.lock().unwrap();
@@ -939,6 +913,14 @@ mod tests {
         assert_ne!(second.id, first_id);
         assert_eq!(registry.len(), 1);
         assert!(registry.get(&first_id).is_err());
+
+        // Likewise a snapshot written by a release that pinned the executor
+        // into the stored spec.
+        let path = dir.join(format!("{first_id}.json"));
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let pinned = stored.replacen("\"dataset\":", "\"executor\": \"shared\", \"dataset\":", 1);
+        assert_ne!(pinned, stored);
+        std::fs::write(&path, pinned).unwrap();
 
         let restored = registry.restore_from_disk(&first_id).unwrap();
         assert_eq!(restored.id, first_id);
@@ -989,76 +971,39 @@ mod tests {
     }
 
     #[test]
-    fn executor_knob_selects_the_materialization_strategy() {
+    fn session_builds_feed_the_materialization_counters() {
         let registry = SessionRegistry::new(8, Duration::from_secs(60), None);
-        // Default: fused.
-        let entry = registry.create(spec()).unwrap();
-        assert_eq!(
-            entry.seeker.lock().unwrap().materialization().strategy,
-            MaterializeStrategy::Fused
-        );
-        // Explicit oracle selection sticks.
-        let naive = registry
-            .create(SessionSpec {
-                executor: Some("naive".into()),
-                ..spec()
-            })
-            .unwrap();
-        assert_eq!(
-            naive.seeker.lock().unwrap().materialization().strategy,
-            MaterializeStrategy::Naive
-        );
-        // Unknown names are a client error, not a silent default.
-        let err = registry
-            .create(SessionSpec {
-                executor: Some("turbo".into()),
-                ..spec()
-            })
-            .err()
-            .expect("must reject");
-        assert!(matches!(err, ServerError::BadRequest(_)), "{err:?}");
-        // Session builds fed the process-wide materialization counters.
+        registry.create(spec()).unwrap();
         assert!(Counters::read(&registry.counters.materialize_scans) >= 1);
         assert!(Counters::read(&registry.counters.materialize_rows) >= 800);
     }
 
     #[test]
-    fn registry_default_executor_applies_when_the_spec_names_none() {
-        let mut registry = SessionRegistry::new(8, Duration::from_secs(60), None);
-        registry.set_default_executor(MaterializeStrategy::Shared);
-        let entry = registry.create(spec()).unwrap();
-        assert_eq!(
-            entry.seeker.lock().unwrap().materialization().strategy,
-            MaterializeStrategy::Shared
-        );
-        // The chosen executor is pinned into the stored spec, so a snapshot
-        // replays with the executor that actually built the session.
-        assert_eq!(entry.spec.executor.as_deref(), Some("shared"));
-        // An explicit spec still wins over the server default.
-        let fused = registry
-            .create(SessionSpec {
-                executor: Some("fused".into()),
-                ..spec()
-            })
-            .unwrap();
-        assert_eq!(
-            fused.seeker.lock().unwrap().materialization().strategy,
-            MaterializeStrategy::Fused
-        );
-    }
+    fn restore_shares_the_catalog_zone_maps_like_create() {
+        let registry = SessionRegistry::new(4, Duration::from_secs(60), None);
+        let dataset = spec().resolve_dataset(registry.catalog()).unwrap();
+        let holders = || Arc::strong_count(&dataset.zones);
+        let idle = holders();
 
-    #[test]
-    fn spec_json_without_executor_still_parses() {
-        // Clients (and snapshots) from before the executor knob send no
-        // "executor" key; it must deserialize to None, not fail.
-        let json = r#"{"dataset":"diab","rows":500,"seed":3,"query":"*",
-                       "alpha":null,"exclude":null,"bins":null}"#;
-        let parsed: SessionSpec = serde_json::from_str(json).unwrap();
-        assert_eq!(parsed.executor, None);
-        assert_eq!(
-            parsed.build_config().unwrap().materialize,
-            viewseeker_core::MaterializeStrategy::Fused
-        );
+        let entry = registry.create(spec()).unwrap();
+        assert_eq!(holders(), idle + 1, "create borrows the catalog's zones");
+        let persisted = PersistedSession {
+            id: entry.id.clone(),
+            spec: entry.spec.clone(),
+            snapshot: SessionSnapshot::from_seeker(&entry.seeker.lock().unwrap()),
+            dataset_name: Some(entry.dataset_name.clone()),
+            dataset_checksum: Some(entry.dataset_checksum()),
+        };
+        registry.remove(&entry.id).unwrap();
+        drop(entry);
+        assert_eq!(holders(), idle);
+
+        // A restore that built its own zone maps would leave the count
+        // unchanged (and pay a `ZoneMaps::build` over the whole table).
+        let restored = registry.restore(&persisted).unwrap();
+        assert_eq!(holders(), idle + 1, "restore must not rebuild zone maps");
+        let seeker = restored.seeker.lock().unwrap();
+        assert!(Arc::ptr_eq(seeker.table_handle(), &dataset.table));
     }
 
     #[test]

@@ -27,12 +27,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use viewseeker_core::trace::Stopwatch;
+use viewseeker_net::http1::{Handler, Request, Response};
 
 use serde::{Serialize, Value};
 
 use crate::api::{self, AppState};
 use crate::error::ServerError;
-use crate::http::{Handler, Request, Response};
 use crate::log::{n, s, LogLevel};
 
 /// The service's request dispatcher.

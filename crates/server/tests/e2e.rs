@@ -94,7 +94,6 @@ fn concurrent_sessions_full_loop_over_http() {
         catalog_mem_budget: 64 << 20,
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
         ..Default::default()
     })
     .expect("bind");
@@ -196,7 +195,6 @@ fn metrics_counters_move_across_the_session_lifecycle() {
         catalog_mem_budget: 64 << 20,
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
         ..Default::default()
     })
     .expect("bind");
@@ -287,7 +285,6 @@ fn eviction_over_http_is_restorable_with_identical_weights() {
         catalog_mem_budget: 64 << 20,
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
         ..Default::default()
     })
     .expect("bind");
@@ -326,4 +323,26 @@ fn eviction_over_http_is_restorable_with_identical_weights() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Connection: close` is honored on error responses too: the header is
+/// echoed and the socket ends, so a client reading to EOF returns.
+#[test]
+fn connection_close_is_honored_on_errors() {
+    let handle = serve_app(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        log_level: LogLevel::Off,
+        ..Default::default()
+    })
+    .expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read to EOF");
+    assert!(raw.starts_with("HTTP/1.1 404"), "{raw}");
+    assert!(raw.contains("Connection: close"), "{raw}");
+    handle.shutdown();
 }

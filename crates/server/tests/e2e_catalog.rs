@@ -85,7 +85,6 @@ fn server(data_dir: &std::path::Path) -> viewseeker_server::AppHandle {
         catalog_mem_budget: 64 << 20,
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
         ..Default::default()
     })
     .expect("bind")

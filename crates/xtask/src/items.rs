@@ -662,7 +662,7 @@ mod tests {
             "use std::sync::{Arc, Mutex};\n\
              use viewseeker_net::http1;\n\
              use crate::registry::SessionRegistry as Reg;\n\
-             use viewseeker_core::{seeker::ViewSeeker, MaterializeStrategy};\n",
+             use viewseeker_core::{seeker::ViewSeeker, ViewSeekerConfig};\n",
         );
         let info = file_info(&f);
         let find = |a: &str| {
@@ -682,8 +682,8 @@ mod tests {
             Some("viewseeker_core::seeker::ViewSeeker")
         );
         assert_eq!(
-            find("MaterializeStrategy").as_deref(),
-            Some("viewseeker_core::MaterializeStrategy")
+            find("ViewSeekerConfig").as_deref(),
+            Some("viewseeker_core::ViewSeekerConfig")
         );
     }
 

@@ -19,14 +19,7 @@ const RULE: &str = "panic-reachability";
 
 /// Fn names treated as request entry points when defined in the
 /// `server`, `net`, or `cluster` crates.
-const ENTRY_NAMES: &[&str] = &[
-    "handle",
-    "handle_traced",
-    "serve",
-    "serve_event",
-    "serve_observed",
-    "run",
-];
+const ENTRY_NAMES: &[&str] = &["handle", "handle_traced", "serve", "serve_event", "run"];
 
 /// Crates whose entry-point fns seed the reachability walk.
 const ENTRY_CRATES: &[&str] = &["server", "net", "cluster"];

@@ -61,9 +61,7 @@ fn main() {
         // Structured access logs on stderr; try LogFormat::Json here.
         log_format: LogFormat::Text,
         log_level: LogLevel::Off,
-        default_executor: Default::default(),
-        // Event-driven reactor with default admission limits; pass
-        // IoModel::Blocking for the thread-per-connection oracle path.
+        // The epoll reactor's admission limits stay at their defaults.
         ..Default::default()
     })
     .expect("bind");

@@ -123,7 +123,7 @@ proptest! {
     fn feature_matrix_is_unit_normalized(table in arb_table()) {
         let space = viewseeker_core::ViewSpace::enumerate(&table, &[3]).unwrap();
         let views = viewseeker_core::viewgen::materialize_all(
-            &table, &table.all_rows(), &table.all_rows(), &space, 1,
+            &table, &table.all_rows(), &table.all_rows(), &space,
         ).unwrap();
         let matrix = FeatureMatrix::from_views(&views, 8.0).unwrap();
         for row in matrix.rows() {
