@@ -22,9 +22,6 @@ USAGE:
                       [--log-level debug|info|warn|error|off]
                       [--max-inflight N] [--queue-deadline-ms MS]
                       [--shards N] [--peer HOST:PORT]...
-  viewseeker loadgen  --addr HOST:PORT [--connections N] [--duration SECS]
-                      [--feedback-rounds N] [--ramp SECS] [--out FILE.json]
-                      [--assert-clean true|false]
   viewseeker cluster status --addr HOST:PORT
   viewseeker trace    --addr HOST:PORT [--format summary|chrome|folded] [--n N] [--out FILE]
   viewseeker dataset import  --data-dir DIR --csv FILE.csv [--name NAME]
@@ -160,25 +157,6 @@ pub enum Command {
         shards: usize,
         /// Remote peers speaking the same protocol (`--peer`, repeatable).
         peers: Vec<String>,
-    },
-    /// Closed-loop load generator replaying interactive sessions.
-    Loadgen {
-        /// Target server address (`host:port`).
-        addr: String,
-        /// Concurrent keep-alive connections.
-        connections: usize,
-        /// Run duration in seconds.
-        duration_secs: u64,
-        /// Feedback rounds per session (the `k` in create → (next →
-        /// feedback) × k → recommend → delete).
-        feedback_rounds: usize,
-        /// Seconds over which connections ramp up linearly (0 = all at
-        /// once).
-        ramp_secs: u64,
-        /// Write the JSON report here (`None` = stdout only).
-        out: Option<String>,
-        /// Exit nonzero on any protocol error.
-        assert_clean: bool,
     },
     /// Fetch and summarize `GET /debug/traces` from a running server.
     Trace {
@@ -359,15 +337,6 @@ impl Command {
                 queue_deadline_ms: flags.get_parsed("--queue-deadline-ms")?.unwrap_or(500),
                 shards: flags.get_parsed("--shards")?.unwrap_or(1),
                 peers: flags.all("--peer"),
-            }),
-            "loadgen" => Ok(Command::Loadgen {
-                addr: flags.require("--addr")?,
-                connections: flags.get_parsed("--connections")?.unwrap_or(32),
-                duration_secs: flags.get_parsed("--duration")?.unwrap_or(10),
-                feedback_rounds: flags.get_parsed("--feedback-rounds")?.unwrap_or(3),
-                ramp_secs: flags.get_parsed("--ramp")?.unwrap_or(0),
-                out: flags.get("--out"),
-                assert_clean: flags.get_parsed("--assert-clean")?.unwrap_or(true),
             }),
             "trace" => Ok(Command::Trace {
                 addr: flags.require("--addr")?,
@@ -695,56 +664,6 @@ mod tests {
         assert!(parse(&["serve", "--log-format", "xml"]).is_err());
         assert!(parse(&["serve", "--log-level", "verbose"]).is_err());
         assert!(parse(&["serve", "--catalog-mem-budget", "lots"]).is_err());
-    }
-
-    #[test]
-    fn parses_loadgen_with_defaults() {
-        let c = parse(&["loadgen", "--addr", "127.0.0.1:7878"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Loadgen {
-                addr: "127.0.0.1:7878".into(),
-                connections: 32,
-                duration_secs: 10,
-                feedback_rounds: 3,
-                ramp_secs: 0,
-                out: None,
-                assert_clean: true,
-            }
-        );
-        let c = parse(&[
-            "loadgen",
-            "--addr",
-            "127.0.0.1:7878",
-            "--connections",
-            "5000",
-            "--duration",
-            "30",
-            "--feedback-rounds",
-            "2",
-            "--ramp",
-            "5",
-            "--out",
-            "bench.json",
-            "--assert-clean",
-            "false",
-        ])
-        .unwrap();
-        assert_eq!(
-            c,
-            Command::Loadgen {
-                addr: "127.0.0.1:7878".into(),
-                connections: 5000,
-                duration_secs: 30,
-                feedback_rounds: 2,
-                ramp_secs: 5,
-                out: Some("bench.json".into()),
-                assert_clean: false,
-            }
-        );
-        assert!(parse(&["loadgen"]).is_err(), "--addr is required");
-        assert!(parse(&["loadgen", "--addr", "x", "--connections", "many"]).is_err());
-        assert!(parse(&["loadgen", "--addr", "x", "--ramp", "slow"]).is_err());
     }
 
     #[test]

@@ -92,23 +92,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             n,
             out,
         } => trace_cmd(&addr, &format, n, out),
-        Command::Loadgen {
-            addr,
-            connections,
-            duration_secs,
-            feedback_rounds,
-            ramp_secs,
-            out,
-            assert_clean,
-        } => loadgen(
-            &addr,
-            connections,
-            duration_secs,
-            feedback_rounds,
-            ramp_secs,
-            out,
-            assert_clean,
-        ),
         Command::Dataset(cmd) => dataset(cmd),
         Command::Cluster(cmd) => cluster(cmd),
         Command::Scatter {
@@ -210,41 +193,8 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     }
 }
 
-/// `viewseeker loadgen`: closed-loop session replay against a running
-/// server; prints the JSON report and optionally writes it to `--out`.
-fn loadgen(
-    addr: &str,
-    connections: usize,
-    duration_secs: u64,
-    feedback_rounds: usize,
-    ramp_secs: u64,
-    out: Option<String>,
-    assert_clean: bool,
-) -> Result<(), String> {
-    let config = viewseeker_loadgen::Config {
-        addr: addr.to_owned(),
-        connections,
-        duration: std::time::Duration::from_secs(duration_secs),
-        feedback_rounds,
-        ramp: std::time::Duration::from_secs(ramp_secs),
-    };
-    let report = viewseeker_loadgen::run(&config).map_err(|e| format!("loadgen: {e}"))?;
-    let json = report.to_json();
-    println!("{json}");
-    if let Some(path) = out {
-        std::fs::write(&path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    if assert_clean && report.protocol_errors > 0 {
-        return Err(format!(
-            "{} protocol errors over {} requests",
-            report.protocol_errors, report.requests
-        ));
-    }
-    Ok(())
-}
-
 /// One blocking HTTP/1.1 GET against `addr`; returns `(status, body)`.
-/// Rides the same incremental parser as the server and loadgen, so framing
+/// Rides the same incremental parser as the server, so framing
 /// (keep-alive headers, content-length) is never hand-rolled here.
 fn http_get(addr: &str, path_and_query: &str) -> Result<(u16, String), String> {
     use std::io::Read;

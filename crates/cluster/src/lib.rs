@@ -11,10 +11,10 @@
 //!   function of the member names (identical across threads, processes,
 //!   and restarts — there is no gossip and nothing to converge).
 //! * [`peer`] — a forwarding client for remote members speaking the
-//!   existing HTTP/1.1 protocol: non-blocking sockets driven by the same
-//!   [`viewseeker_net::sys::Poller`] readiness machinery the loadgen
-//!   client uses, with keep-alive reuse, a bounded per-request deadline,
-//!   and a one-shot retry on stale cached connections.
+//!   existing HTTP/1.1 protocol: non-blocking sockets driven by the
+//!   [`viewseeker_net::sys::Poller`] readiness machinery the reactor
+//!   uses, with keep-alive reuse, a bounded per-request deadline, and a
+//!   one-shot retry on stale cached connections.
 //! * [`stats`] — the `viewseeker_cluster_*` counter/gauge/histogram state
 //!   (routed/forwarded/migrated counts, per-shard session gauges,
 //!   forward-latency histogram) that the server's Prometheus exporter

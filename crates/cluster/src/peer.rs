@@ -1,10 +1,10 @@
 //! A forwarding client for remote ring members speaking the existing
 //! HTTP/1.1 protocol.
 //!
-//! This reuses the loadgen's epoll client machinery: a non-blocking
-//! `TcpStream` registered with a [`viewseeker_net::sys::Poller`], the
-//! request hand-formatted the same way the loadgen's `issue()` does, and
-//! the response lifted incrementally with
+//! Each exchange is a non-blocking `TcpStream` registered with a
+//! [`viewseeker_net::sys::Poller`], the request hand-formatted (request
+//! line, `Host`, `X-Request-Id`, `Content-Length`, body), and the
+//! response lifted incrementally with
 //! [`viewseeker_net::http1::parse_response`]. Each exchange runs under a
 //! hard deadline so a dead peer costs one bounded wait, not a hung
 //! worker.
@@ -205,7 +205,9 @@ impl Peer {
         &self.addr
     }
 
-    /// Hand-formats one request the way the loadgen's `issue()` does.
+    /// Hand-formats one request: request line, `Host`, `X-Request-Id`
+    /// (the caller's, else a generated `fwd-<seq>`), `Content-Length`,
+    /// then the body.
     fn encode(&self, method: &str, target: &str, body: &[u8], request_id: Option<&str>) -> Vec<u8> {
         let seq = self.requests.fetch_add(1, Ordering::Relaxed);
         let mut head = format!(
@@ -379,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn requests_carry_the_loadgen_wire_shape() {
+    fn requests_carry_request_line_host_request_id_and_content_length() {
         let peer = Peer::new("127.0.0.1:1".into());
         let bytes = peer.encode("POST", "/sessions?x=1", b"{\"a\":2}", None);
         let text = String::from_utf8(bytes).expect("utf8");

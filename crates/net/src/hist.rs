@@ -1,9 +1,8 @@
 //! Log-linear bucketed latency histograms (HDR-style).
 //!
 //! Lives in `viewseeker-net` so the reactor (loop-tick timing), the
-//! server's per-route metrics (via the `viewseeker-server::hist`
-//! re-export), and `viewseeker-loadgen` (client-side latencies) all share
-//! one mergeable layout.
+//! server's per-route metrics and the cluster's forward latencies all
+//! share one mergeable layout.
 //!
 //! Values are microseconds. The bucket layout is *fixed* — derived from the
 //! value's binary magnitude, never from the data — so two histograms (e.g.

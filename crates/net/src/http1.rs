@@ -411,8 +411,9 @@ pub fn encode_response(response: &Response, keep_alive: bool, out: &mut Vec<u8>)
     out.extend_from_slice(response.body.as_bytes());
 }
 
-/// A complete response lifted out of a client's read buffer
-/// (`viewseeker-loadgen` and the differential tests are the consumers).
+/// A complete response lifted out of a client's read buffer (the
+/// cluster's peer client, `viewseeker trace` and the tests are the
+/// consumers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedResponse {
     /// HTTP status code.
@@ -425,8 +426,8 @@ pub struct ParsedResponse {
     pub keep_alive: bool,
     /// Parsed `Retry-After` header, seconds, when present.
     pub retry_after: Option<u32>,
-    /// Parsed `X-Request-Id` header, when present — lets clients (the
-    /// loadgen) correlate responses with the ids they sent.
+    /// Parsed `X-Request-Id` header, when present — lets clients
+    /// correlate responses with the ids they sent.
     pub request_id: Option<String>,
 }
 

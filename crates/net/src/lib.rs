@@ -16,9 +16,9 @@
 //! * [`http1`] — the incremental HTTP/1.1 parser and encoder: tolerant of
 //!   partial reads and split CRLFs, strict about oversized header blocks
 //!   (`431`) and bodies (`413`).
-//! * [`hist`] — the log-linear latency histogram (re-exported by
-//!   `viewseeker-server::hist`), used here for loop-tick timing and by
-//!   `viewseeker-loadgen` for client-side latencies.
+//! * [`hist`] — the log-linear latency histogram, used here for
+//!   loop-tick timing and by `viewseeker-server` for per-route and
+//!   per-stage latencies.
 //! * [`stats`] — the `viewseeker_net_*` counter/gauge/histogram state the
 //!   server's Prometheus exporter scrapes.
 //! * [`conn`] — the per-connection state machine: buffered reads, parsed
@@ -56,4 +56,4 @@ pub mod trace;
 pub use http1::{Handler, Request, Response};
 pub use reactor::{serve_event, EventConfig, EventHandle};
 pub use stats::NetStats;
-pub use trace::{ActiveTrace, NoopTraceSink, RequestTrace, TraceSampler, TraceSink};
+pub use trace::{ActiveTrace, RequestTrace, TraceSampler, TraceSink};

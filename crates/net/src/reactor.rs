@@ -915,11 +915,14 @@ mod tests {
 
     #[test]
     fn concurrent_connections_are_answered_across_the_pool() {
+        // `max_inflight` sits above the 256 sockets of the second input, so
+        // admission control is not what this test exercises.
         let config = EventConfig {
             workers: 4,
+            max_inflight: 512,
             ..EventConfig::default()
         };
-        let (handle, _, _) = start(config);
+        let (handle, stats, _) = start(config);
         let addr = handle.addr();
         // Twice as many clients as workers, released together, each on its
         // own connection: every one gets its own answer.
@@ -940,6 +943,30 @@ mod tests {
                 });
             }
         });
+        // Second input: many sockets opened from one thread and all held
+        // open at once. Each round puts a request on every socket before
+        // reading any answer, so the reactor holds 256 live keep-alive
+        // connections with a request in flight on each.
+        let mut held: Vec<_> = (0..256)
+            .map(|_| BufReader::new(TcpStream::connect(addr).unwrap()))
+            .collect();
+        for round in 0..2 {
+            for (i, reader) in held.iter().enumerate() {
+                let request = format!("GET /held/{i}/{round} HTTP/1.1\r\nHost: x\r\n\r\n");
+                reader.get_ref().write_all(request.as_bytes()).unwrap();
+            }
+            for (i, reader) in held.iter_mut().enumerate() {
+                let (status, body, headers) = read_one_response(reader);
+                assert_eq!(status, 200, "socket {i} round {round}: {body}");
+                assert!(body.contains(&format!("\"/held/{i}/{round}\"")), "{body}");
+                assert!(
+                    headers.iter().any(|h| h == "Connection: keep-alive"),
+                    "{headers:?}"
+                );
+            }
+        }
+        assert_eq!(NetStats::get(&stats.accepted), 8 + 256);
+        assert_eq!(NetStats::get(&stats.shed), 0);
         handle.shutdown();
     }
 

@@ -408,14 +408,6 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     fn record(&self, trace: RequestTrace);
 }
 
-/// Discards every trace: the fake for tests that observe none.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTraceSink;
-
-impl TraceSink for NoopTraceSink {
-    fn record(&self, _trace: RequestTrace) {}
-}
-
 /// Traces kept in the slowest-set per window by default.
 pub const DEFAULT_SLOW_CAPACITY: usize = 64;
 /// Errored (and separately, shed) traces kept per window by default.

@@ -16,8 +16,8 @@
 //!   TTL/LRU eviction that snapshots evictees to disk (restorable, since
 //!   estimators are a pure function of the replayed labels).
 //! * [`api`] — the endpoint bodies and JSON types.
-//! * [`metrics`] — request histograms + lifecycle counters for `/healthz`.
-//! * [`hist`] — the log-linear bucketed latency histogram behind both.
+//! * [`metrics`] — request histograms ([`viewseeker_net::hist`]) +
+//!   lifecycle counters for `/healthz`.
 //! * [`prometheus`] — text exposition (format 0.0.4) for `GET /metrics`.
 //! * [`log`] — structured JSON/text access and lifecycle event logs.
 //! * [`trace`] — request-tracing glue: the thread-local trace scope, the
@@ -56,7 +56,6 @@
 pub mod api;
 pub mod cluster;
 pub mod error;
-pub mod hist;
 pub mod log;
 pub mod metrics;
 pub mod prometheus;

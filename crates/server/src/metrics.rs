@@ -3,7 +3,7 @@
 //! by `/healthz`.
 //!
 //! Latencies go into fixed-layout log-linear histograms
-//! ([`crate::hist::Histogram`]) — bounded memory per route, mergeable
+//! ([`viewseeker_net::hist::Histogram`]) — bounded memory per route, mergeable
 //! across scrapes, and quantiles within 12.5% of exact — replacing the old
 //! 2,048-sample ring whose percentiles degraded under bursty traffic and
 //! whose samples could not be aggregated without a sort.
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-use crate::hist::Histogram;
+use viewseeker_net::hist::Histogram;
 
 /// Monotonic lifecycle counters and gauges, shared between the registry
 /// (which increments them), the HTTP layer (queue depth), and the exporters

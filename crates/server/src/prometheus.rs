@@ -19,9 +19,9 @@
 use std::fmt::Write as _;
 
 use viewseeker_catalog::CatalogStats;
+use viewseeker_net::hist::Histogram;
 use viewseeker_net::NetStats;
 
-use crate::hist::Histogram;
 use crate::metrics::Counters;
 
 /// One exported series family: its name, exposition TYPE, and HELP text.

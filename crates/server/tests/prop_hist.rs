@@ -4,7 +4,7 @@
 //! recording everything into one histogram.
 
 use proptest::prelude::*;
-use viewseeker_server::hist::{bucket_index, bucket_range, Histogram, BUCKETS};
+use viewseeker_net::hist::{bucket_index, bucket_range, Histogram, BUCKETS};
 
 /// Any microsecond value, including the saturating `u64::MAX` edge the
 /// range strategy alone cannot reach.

@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn blocking_off_the_tick_path_is_not_flagged() {
         let diags = lint(&[(
-            "crates/net/src/loadgen.rs",
+            "crates/net/src/client.rs",
             "pub fn drive() { thread::sleep(d); }\n",
         )]);
         assert!(diags.is_empty(), "{diags:?}");
