@@ -1,5 +1,5 @@
 //! Dataset-resolution cost along the catalog's three paths: parsing the
-//! original CSV (cold), loading the VSC1 columnar store (warm), and
+//! original CSV (cold), loading the VSC2 columnar store (warm), and
 //! handing out the shared in-memory `Arc<Table>` (cache hit). The spread
 //! between the three is the case for the catalog: every session after the
 //! first should pay the last price, not the first.
@@ -7,7 +7,7 @@
 use std::io::Cursor;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use viewseeker_catalog::{vsc, Catalog};
+use viewseeker_catalog::{vsc2, Catalog};
 use viewseeker_dataset::csv::{infer_schema, read_csv};
 
 /// A convention-conforming CSV (`m_*` measure, `n_*` numeric dimension,
@@ -35,7 +35,7 @@ fn bench_catalog(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("vs-bench-catalog-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("sales");
-    vsc::save(&store, &table).unwrap();
+    vsc2::save(&store, &table, 0).unwrap();
 
     let catalog = Catalog::in_memory(1 << 30);
     catalog.put("sales", table).unwrap();
@@ -48,8 +48,8 @@ fn bench_catalog(c: &mut Criterion) {
             read_csv(&schema, Cursor::new(csv.as_bytes())).unwrap()
         })
     });
-    group.bench_with_input(BenchmarkId::new("warm_vsc1_load", rows), &rows, |b, _| {
-        b.iter(|| vsc::load(&store).unwrap())
+    group.bench_with_input(BenchmarkId::new("warm_vsc2_load", rows), &rows, |b, _| {
+        b.iter(|| vsc2::load(&store).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("cache_hit", rows), &rows, |b, _| {
         b.iter(|| catalog.get("sales").unwrap())

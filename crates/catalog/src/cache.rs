@@ -2,7 +2,7 @@
 //!
 //! The cache always admits the table being inserted and then evicts
 //! least-recently-used *evictable* entries until the budget is met. An entry
-//! is evictable only when it can be reloaded (it has a VSC1 copy on disk);
+//! is evictable only when it can be reloaded (it has a VSC2 copy on disk);
 //! memory-only datasets are pinned so eviction never destroys data, which
 //! means an in-memory catalog can exceed its budget — by design, since the
 //! alternative is silent data loss.

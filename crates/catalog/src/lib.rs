@@ -5,11 +5,11 @@
 //!
 //! * **the VSC2 on-disk format** ([`vsc2`]) — compressed, zone-mapped row
 //!   groups with per-chunk digests, zero-copy mmap cold starts ([`map`]),
-//!   and an append-only growth path. New datasets are written as VSC2;
-//! * **the VSC1 format** ([`vsc`]) — the original one-block-per-column
-//!   layout, still fully readable (and writable, as the differential
-//!   oracle for VSC2's test battery). Loads dispatch on the manifest's
-//!   format tag;
+//!   and an append-only growth path. It is the only stored format: a
+//!   dataset directory either loads bit-identical to the table that was
+//!   saved or is a typed [`CatalogError`];
+//! * **content digests** ([`digest`]) — the table checksum every manifest
+//!   and session snapshot persists;
 //! * **ingestion** — [`Catalog::import_csv_bytes`] infers a schema by the
 //!   `m_`/`n_` naming convention and parses the rows, while
 //!   [`Catalog::materialize_generated`] runs the `diab`/`syn` generators
@@ -41,8 +41,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod map;
-pub mod vsc;
 pub mod vsc2;
 
 mod cache;
@@ -55,9 +55,10 @@ use std::sync::{Arc, Mutex, Weak};
 use serde::{Deserialize, Serialize};
 use viewseeker_dataset::generate::{generate_diab, generate_syn, DiabConfig, SynConfig};
 use viewseeker_dataset::schema::{AttributeRole, ColumnType};
-use viewseeker_dataset::{DatasetError, Table, ZoneMaps};
+use viewseeker_dataset::{DatasetError, Schema, Table, ZoneMaps};
 
 use cache::LruCache;
+use digest::{hex, table_checksum};
 
 /// Errors produced by the catalog.
 #[derive(Debug)]
@@ -129,7 +130,7 @@ pub struct DatasetEntry {
     pub name: String,
     /// The shared table; clones of this handle are pointer-equal.
     pub table: Arc<Table>,
-    /// Content digest ([`vsc::table_checksum`]) as lowercase hex.
+    /// Content digest ([`digest::table_checksum`]) as lowercase hex.
     pub checksum: String,
     /// Row-group zone maps for the table (from the VSC2 manifest when
     /// loaded from disk, built in-memory otherwise) — what the executor
@@ -225,23 +226,11 @@ pub struct CatalogStats {
     pub append_rows: u64,
 }
 
-/// How a dataset is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stored {
-    /// Memory-only (in-memory catalog); pinned in cache.
-    Memory,
-    /// On disk in the legacy VSC1 layout.
-    Vsc1,
-    /// On disk in the VSC2 layout.
-    Vsc2,
-}
-
 struct MetaEntry {
     rows: u64,
     bytes: u64,
     checksum: String,
     columns: Vec<ColumnSchema>,
-    stored: Stored,
 }
 
 /// Live-table side data: zone maps and the cache charge the table was
@@ -271,9 +260,8 @@ pub struct Catalog {
     append_rows: AtomicU64,
 }
 
-fn column_schemas(table: &Table) -> Vec<ColumnSchema> {
-    table
-        .schema()
+fn column_schemas(schema: &Schema) -> Vec<ColumnSchema> {
+    schema
         .columns()
         .iter()
         .map(|m| ColumnSchema {
@@ -352,9 +340,9 @@ impl Catalog {
     }
 
     /// Opens (creating if needed) a persistent catalog rooted at `dir`.
-    /// Existing dataset directories (VSC1 or VSC2) are indexed by reading
-    /// their manifests; directories without a valid manifest are ignored (a
-    /// crashed save leaves exactly that).
+    /// Existing dataset directories are indexed by reading their manifests
+    /// (once each); directories without a valid VSC2 manifest are ignored (a
+    /// crashed save leaves exactly that, and so does any other format tag).
     ///
     /// # Errors
     ///
@@ -366,7 +354,7 @@ impl Catalog {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
-            if !path.is_dir() || !vsc::exists(&path) {
+            if !path.is_dir() {
                 continue;
             }
             let name = match entry.file_name().into_string() {
@@ -454,20 +442,16 @@ impl Catalog {
         name: &str,
         table: Table,
     ) -> Result<DatasetEntry, CatalogError> {
-        let checksum = format!("{:016x}", vsc::table_checksum(&table));
-        let columns = column_schemas(&table);
+        let checksum = hex(table_checksum(&table));
+        let columns = column_schemas(table.schema());
         let rows = table.row_count() as u64;
-        let (bytes, stored, zones) = match self.dataset_dir(name) {
+        let (bytes, zones) = match self.dataset_dir(name) {
             Some(dir) => {
                 let manifest = vsc2::save(&dir, &table, 0)?;
                 let zones = manifest.zone_maps()?;
-                (manifest.data_bytes(), Stored::Vsc2, zones)
+                (manifest.data_bytes(), zones)
             }
-            None => (
-                table_owned_bytes(&table),
-                Stored::Memory,
-                ZoneMaps::build(&table, 0),
-            ),
+            None => (table_owned_bytes(&table), ZoneMaps::build(&table, 0)),
         };
         let charge = table_owned_bytes(&table);
         self.admit(
@@ -481,13 +465,14 @@ impl Catalog {
                 bytes,
                 checksum: checksum.clone(),
                 columns,
-                stored,
             },
         )
     }
 
     /// Inserts a resolved table into the cache, handle, shape, and meta
-    /// maps, returning its entry. The single place residency is admitted.
+    /// maps, returning its entry. The single place residency is admitted;
+    /// a table is evictable exactly when the catalog has a data directory
+    /// to reload it from.
     fn admit(
         &self,
         inner: &mut Inner,
@@ -498,10 +483,9 @@ impl Catalog {
         meta: MetaEntry,
     ) -> Result<DatasetEntry, CatalogError> {
         let checksum = meta.checksum.clone();
-        let evictable = meta.stored != Stored::Memory;
         let evicted = inner
             .cache
-            .insert(name, Arc::clone(&table), charge, evictable);
+            .insert(name, Arc::clone(&table), charge, self.dir.is_some());
         self.evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
         inner
@@ -544,14 +528,14 @@ impl Catalog {
     }
 
     /// Resolves `name` to its shared table: cache hit, a live handle some
-    /// session still holds, or a disk load (VSC1 or VSC2, by format tag) —
-    /// in that order. Two concurrent calls for the same name return
-    /// pointer-equal `Arc`s.
+    /// session still holds, or a VSC2 disk load — in that order. Two
+    /// concurrent calls for the same name return pointer-equal `Arc`s.
     ///
     /// # Errors
     ///
     /// [`CatalogError::NotFound`] for unknown names, [`CatalogError::Io`] /
-    /// [`CatalogError::Corrupt`] when the on-disk copy fails validation.
+    /// [`CatalogError::Corrupt`] when the on-disk copy fails validation or
+    /// its manifest carries a format tag other than [`vsc2::FORMAT`].
     pub fn get(&self, name: &str) -> Result<DatasetEntry, CatalogError> {
         let mut inner = self.lock();
         self.resolve(&mut inner, name)
@@ -564,7 +548,7 @@ impl Catalog {
                 .meta
                 .get(name)
                 .map(|m| m.checksum.clone())
-                .unwrap_or_else(|| format!("{:016x}", vsc::table_checksum(&table)));
+                .unwrap_or_else(|| hex(table_checksum(&table)));
             let zones = Self::zones_for(inner, name, &table);
             return Ok(DatasetEntry {
                 name: name.to_owned(),
@@ -576,10 +560,6 @@ impl Catalog {
         // Evicted but still alive in some session: re-share that allocation.
         if let Some(table) = inner.handles.get(name).and_then(Weak::upgrade) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let evictable = inner
-                .meta
-                .get(name)
-                .is_some_and(|m| m.stored != Stored::Memory);
             let zones = Self::zones_for(inner, name, &table);
             let charge = inner
                 .shapes
@@ -587,14 +567,14 @@ impl Catalog {
                 .map_or_else(|| table_owned_bytes(&table), |s| s.charge);
             let evicted = inner
                 .cache
-                .insert(name, Arc::clone(&table), charge, evictable);
+                .insert(name, Arc::clone(&table), charge, self.dir.is_some());
             self.evictions
                 .fetch_add(evicted.len() as u64, Ordering::Relaxed);
             let checksum = inner
                 .meta
                 .get(name)
                 .map(|m| m.checksum.clone())
-                .unwrap_or_else(|| format!("{:016x}", vsc::table_checksum(&table)));
+                .unwrap_or_else(|| hex(table_checksum(&table)));
             return Ok(DatasetEntry {
                 name: name.to_owned(),
                 table,
@@ -602,59 +582,33 @@ impl Catalog {
                 zones,
             });
         }
-        let Some(dir) = self.dataset_dir(name).filter(|d| vsc::exists(d)) else {
+        let Some(dir) = self.dataset_dir(name).filter(|d| vsc2::exists(d)) else {
             return Err(CatalogError::NotFound(name.to_owned()));
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Dispatch on the stored format (probing the manifest when the
-        // dataset appeared on disk after open()).
-        let stored = match inner.meta.get(name).map(|m| m.stored) {
-            Some(s @ (Stored::Vsc1 | Stored::Vsc2)) => s,
-            _ => {
-                if vsc2::format_of(&dir)? == vsc2::FORMAT {
-                    Stored::Vsc2
-                } else {
-                    Stored::Vsc1
-                }
-            }
-        };
-        let (table, zones, charge, bytes) = match stored {
-            Stored::Vsc2 => {
-                let loaded = vsc2::load(&dir)?;
-                let charge = loaded.resident_bytes();
-                let bytes = vsc2::peek(&dir)?.data_bytes();
-                (Arc::new(loaded.table), loaded.zones, charge, bytes)
-            }
-            _ => {
-                let table = vsc::load(&dir)?;
-                let zones = ZoneMaps::build(&table, 0);
-                let charge = table_owned_bytes(&table);
-                let bytes = vsc::peek(&dir)?.block_bytes();
-                (Arc::new(table), zones, charge, bytes)
-            }
-        };
+        let loaded = vsc2::load(&dir)?;
+        let charge = loaded.resident_bytes();
         let checksum = match inner.meta.get(name) {
             Some(m) => m.checksum.clone(),
-            None => format!("{:016x}", vsc::table_checksum(&table)),
+            None => hex(table_checksum(&loaded.table)),
         };
         let meta = MetaEntry {
-            rows: table.row_count() as u64,
-            bytes,
+            rows: loaded.table.row_count() as u64,
+            bytes: loaded.data_bytes,
             checksum,
-            columns: column_schemas(&table),
-            stored,
+            columns: column_schemas(loaded.table.schema()),
         };
-        self.admit(inner, name, table, Arc::new(zones), charge, meta)
+        let table = Arc::new(loaded.table);
+        self.admit(inner, name, table, Arc::new(loaded.zones), charge, meta)
     }
 
     /// Appends `chunk`'s rows to the existing dataset `name`.
     ///
-    /// Persistent VSC2 datasets grow in place via the append-only path
-    /// (new row groups plus an atomic manifest swap); VSC1 datasets are
-    /// upgraded to VSC2 on first append; memory-only datasets are merged
-    /// in place. The merged table replaces the cached one — sessions
-    /// holding the old `Arc` keep a consistent snapshot until they fold
-    /// the appended rows in.
+    /// Persistent datasets grow in place via VSC2's append-only path (new
+    /// row groups plus an atomic manifest swap, the manifest read once);
+    /// memory-only datasets are merged in place. The merged table replaces
+    /// the cached one — sessions holding the old `Arc` keep a consistent
+    /// snapshot until they fold the appended rows in.
     ///
     /// # Errors
     ///
@@ -677,45 +631,27 @@ impl Catalog {
         }
         let current = self.resolve(&mut inner, name)?;
         let appended = chunk.row_count() as u64;
-        let (table, zones, checksum, bytes, stored) =
-            match self.dataset_dir(name).filter(|d| vsc::exists(d)) {
-                Some(dir) => {
-                    if vsc2::format_of(&dir)? == vsc2::FORMAT {
-                        let manifest = vsc2::peek(&dir)?;
-                        let result = vsc2::append(&dir, &manifest, &current.table, &chunk)?;
-                        (
-                            result.table,
-                            result.zones,
-                            result.manifest.table_checksum.clone(),
-                            result.manifest.data_bytes(),
-                            Stored::Vsc2,
-                        )
-                    } else {
-                        // Legacy VSC1 dataset: merge in memory and rewrite as
-                        // VSC2 (the manifest swap is still atomic; stale VSC1
-                        // blocks become ignored orphans).
-                        let merged = vsc2::merge_tables(&current.table, &chunk)?;
-                        let manifest = vsc2::save(&dir, &merged, 0)?;
-                        let zones = manifest.zone_maps()?;
-                        (
-                            merged,
-                            zones,
-                            manifest.table_checksum.clone(),
-                            manifest.data_bytes(),
-                            Stored::Vsc2,
-                        )
-                    }
-                }
-                None => {
-                    let merged = vsc2::merge_tables(&current.table, &chunk)?;
-                    let zones = ZoneMaps::build(&merged, 0);
-                    let checksum = format!("{:016x}", vsc::table_checksum(&merged));
-                    let bytes = table_owned_bytes(&merged);
-                    (merged, zones, checksum, bytes, Stored::Memory)
-                }
-            };
+        let (table, zones, checksum, bytes) = match self.dataset_dir(name) {
+            Some(dir) => {
+                let manifest = vsc2::peek(&dir)?;
+                let result = vsc2::append(&dir, &manifest, &current.table, &chunk)?;
+                (
+                    result.table,
+                    result.zones,
+                    result.manifest.table_checksum.clone(),
+                    result.manifest.data_bytes(),
+                )
+            }
+            None => {
+                let merged = vsc2::merge_tables(&current.table, &chunk)?;
+                let zones = ZoneMaps::build(&merged, 0);
+                let checksum = hex(table_checksum(&merged));
+                let bytes = table_owned_bytes(&merged);
+                (merged, zones, checksum, bytes)
+            }
+        };
         let rows = table.row_count() as u64;
-        let columns = column_schemas(&table);
+        let columns = column_schemas(table.schema());
         let charge = table_owned_bytes(&table);
         let entry = self.admit(
             &mut inner,
@@ -728,7 +664,6 @@ impl Catalog {
                 bytes,
                 checksum,
                 columns,
-                stored,
             },
         )?;
         self.append_rows.fetch_add(appended, Ordering::Relaxed);
@@ -914,49 +849,18 @@ impl Catalog {
     }
 }
 
-/// Indexes one on-disk dataset directory (either format), returning its
-/// metadata, or `None` when the manifest is unreadable.
+/// Indexes one on-disk dataset directory from a single read of its
+/// manifest, or `None` when that manifest is unreadable (bad JSON, a format
+/// tag other than [`vsc2::FORMAT`], an inconsistent shape).
 fn index_dataset_dir(path: &Path) -> Option<MetaEntry> {
-    match vsc2::format_of(path).ok()?.as_str() {
-        vsc2::FORMAT => {
-            let manifest = vsc2::peek(path).ok()?;
-            let schema = manifest.schema().ok()?;
-            Some(MetaEntry {
-                rows: manifest.rows,
-                bytes: manifest.data_bytes(),
-                checksum: manifest.table_checksum.clone(),
-                columns: schema
-                    .columns()
-                    .iter()
-                    .map(|m| ColumnSchema {
-                        name: m.name.clone(),
-                        kind: kind_str(m.column_type).to_owned(),
-                        role: role_str(m.role).to_owned(),
-                    })
-                    .collect(),
-                stored: Stored::Vsc2,
-            })
-        }
-        _ => {
-            let manifest = vsc::peek(path).ok()?;
-            let schema = manifest.schema().ok()?;
-            Some(MetaEntry {
-                rows: manifest.rows,
-                bytes: manifest.block_bytes(),
-                checksum: manifest.table_checksum.clone(),
-                columns: schema
-                    .columns()
-                    .iter()
-                    .map(|m| ColumnSchema {
-                        name: m.name.clone(),
-                        kind: kind_str(m.column_type).to_owned(),
-                        role: role_str(m.role).to_owned(),
-                    })
-                    .collect(),
-                stored: Stored::Vsc1,
-            })
-        }
-    }
+    let manifest = vsc2::peek(path).ok()?;
+    let schema = manifest.schema().ok()?;
+    Some(MetaEntry {
+        rows: manifest.rows,
+        bytes: manifest.data_bytes(),
+        checksum: manifest.table_checksum.clone(),
+        columns: column_schemas(&schema),
+    })
 }
 
 impl std::fmt::Debug for Catalog {
@@ -1076,21 +980,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A directory in the format this repository wrote before VSC2, built by
+    /// hand (nothing can write one any more): the old manifest shape plus a
+    /// junk block file.
+    fn write_vsc1_fixture(dir: &Path) {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(
+            dir.join(vsc2::MANIFEST),
+            r#"{"format":"VSC1","rows":2,"table_checksum":"0000000000000000","columns":[
+                {"name":"m_sales","kind":"numeric","role":"measure",
+                 "block":"col_000.blk","bytes":4,"checksum":"0000000000000000"}]}"#,
+        )
+        .unwrap();
+        std::fs::write(dir.join("col_000.blk"), b"junk").unwrap();
+    }
+
     #[test]
-    fn legacy_vsc1_datasets_remain_readable() {
-        let dir = tmp("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let table = demo_table(40);
-        let checksum = format!("{:016x}", vsc::table_checksum(&table));
-        vsc::save(&dir.join("old"), &table).unwrap();
+    fn vsc1_directory_is_a_typed_error_never_a_table() {
+        let dir = tmp("vsc1");
+        write_vsc1_fixture(&dir.join("before"));
         let catalog = Catalog::open(&dir, 1 << 20).unwrap();
-        let listed = catalog.list();
-        assert_eq!(listed.len(), 1);
-        assert_eq!(listed[0].checksum, checksum);
-        let entry = catalog.get("old").unwrap();
-        assert_eq!(entry.table.row_count(), 40);
-        assert_eq!(entry.checksum, checksum);
-        assert!(entry.zones.covers(&entry.table));
+        // Present at open: skipped like any unreadable manifest.
+        assert!(catalog.list().is_empty());
+        // Dropped in afterwards: `get` finds the manifest and must refuse it.
+        write_vsc1_fixture(&dir.join("after"));
+        for name in ["before", "after"] {
+            match catalog.get(name) {
+                Err(CatalogError::Corrupt(msg)) => {
+                    assert!(msg.contains("unsupported format \"VSC1\""), "{msg}");
+                }
+                other => panic!("expected Corrupt for {name}, got {other:?}"),
+            }
+        }
+        assert!(catalog.list().is_empty());
+        assert_eq!(catalog.stats().cached_datasets, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1165,7 +1088,7 @@ mod tests {
         let dir = tmp("delete");
         let catalog = Catalog::open(&dir, 1 << 20).unwrap();
         catalog.put("sales", demo_table(5)).unwrap();
-        assert!(dir.join("sales").join(vsc::MANIFEST).is_file());
+        assert!(dir.join("sales").join(vsc2::MANIFEST).is_file());
         catalog.delete("sales").unwrap();
         assert!(!dir.join("sales").exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1221,20 +1144,6 @@ mod tests {
         let entry = catalog.get("sales").unwrap();
         assert_eq!(entry.table.row_count(), 42);
         assert_eq!(entry.checksum, outcome.entry.checksum);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn append_upgrades_legacy_vsc1_datasets() {
-        let dir = tmp("upgrade");
-        std::fs::create_dir_all(&dir).unwrap();
-        vsc::save(&dir.join("old"), &demo_table(30)).unwrap();
-        let catalog = Catalog::open(&dir, 64 << 20).unwrap();
-        let outcome = catalog.append_rows("old", demo_table(10)).unwrap();
-        assert_eq!(outcome.total_rows, 40);
-        assert_eq!(vsc2::format_of(&dir.join("old")).unwrap(), vsc2::FORMAT);
-        let entry = catalog.get("old").unwrap();
-        assert_eq!(entry.table.row_count(), 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 //! VSC2: the compressed, zone-mapped, appendable on-disk dataset format.
 //!
-//! VSC1 ([`crate::vsc`]) stores each column as one raw block and verifies a
-//! load by re-encoding the whole table — robust, but at 10M+ rows both the
-//! bytes on disk and the cold-start decode dominate. VSC2 keeps the same
-//! durability contract (manifest-last writes, per-payload digests, typed
-//! errors on any corruption) while scaling the substrate:
+//! The one format the catalog stores: one directory per dataset holding
+//! `manifest.json` plus one column file per column. Its durability contract
+//! is manifest-last writes, per-payload digests, and a typed error on any
+//! corruption — a manifest carrying any other format tag included. At 10M+
+//! rows the bytes on disk and the cold-start decode dominate, so:
 //!
 //! * **Row groups.** Every column is split into fixed-size row groups
 //!   ([`viewseeker_dataset::zones::DEFAULT_GROUP_ROWS`] rows). Each
@@ -32,11 +32,11 @@
 //!   bit-identically; orphaned trailing bytes are ignored. Categorical
 //!   dictionaries are append-only, so existing codes never change meaning.
 //!
-//! The trade against VSC1: a load no longer re-encodes the table to verify
-//! `table_checksum` (that is exactly the cold-start cost VSC2 exists to
-//! avoid); integrity rests on the per-chunk digests and zone recomputation
-//! instead. `table_checksum` is still computed at save/append time so
-//! catalog identity stays comparable across both formats, and appended
+//! A load does not re-encode the table to verify `table_checksum` (that is
+//! exactly the cold-start cost the format exists to avoid); integrity rests
+//! on the per-chunk digests and zone recomputation instead.
+//! `table_checksum` ([`crate::digest`]) is computed at save/append time and
+//! is the identity the catalog and session snapshots compare. Appended
 //! datasets trade the zero-copy fast path for append-only atomicity until
 //! they are re-saved.
 
@@ -50,14 +50,17 @@ use viewseeker_dataset::schema::{AttributeRole, ColumnType};
 use viewseeker_dataset::zones::DEFAULT_GROUP_ROWS;
 use viewseeker_dataset::{Column, ColumnZone, Schema, Table, ZoneMaps};
 
+use crate::digest::{hex, table_checksum, Fnv64};
 #[cfg(target_endian = "little")]
 use crate::map::MappedF64;
 use crate::map::Mapping;
-use crate::vsc::{hex, table_checksum, Fnv64, MANIFEST};
 use crate::CatalogError;
 
 /// Format tag VSC2 manifests carry.
 pub const FORMAT: &str = "VSC2";
+
+/// Manifest file name inside a dataset directory.
+pub const MANIFEST: &str = "manifest.json";
 
 /// Magic prefix of every VSC2 column file (8 bytes, keeping the first chunk
 /// 8-byte aligned).
@@ -74,6 +77,12 @@ pub fn column_file(index: usize) -> String {
 
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join(MANIFEST)
+}
+
+/// Whether `dir` holds a committed dataset (a manifest exists).
+#[must_use]
+pub fn exists(dir: &Path) -> bool {
+    manifest_path(dir).is_file()
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ impl Manifest2 {
 /// FNV-1a folded a 64-bit word at a time (little-endian), byte-wise over
 /// the tail. ~8× fewer multiplies than byte-wise FNV — the digest that
 /// makes verifying a mapped 80MB column a fast single pass. Distinct from
-/// [`crate::vsc::fnv64`]; the two formats' digests are not comparable.
+/// the byte-wise [`crate::digest::fnv64`]; the two are not comparable.
 #[must_use]
 pub fn fnv64_words(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -827,28 +836,8 @@ pub fn save(dir: &Path, table: &Table, group_rows: usize) -> Result<Manifest2, C
 }
 
 // ---------------------------------------------------------------------------
-// Peek / format dispatch
+// Peek
 // ---------------------------------------------------------------------------
-
-#[derive(Deserialize)]
-struct FormatProbe {
-    format: String,
-}
-
-/// Reads just the `format` tag of the manifest in `dir` (`"VSC1"`,
-/// `"VSC2"`, ...), so callers can dispatch to the right loader.
-///
-/// # Errors
-///
-/// [`CatalogError::Io`] when the manifest is missing;
-/// [`CatalogError::Corrupt`] when it is not valid manifest JSON.
-pub fn format_of(dir: &Path) -> Result<String, CatalogError> {
-    let path = manifest_path(dir);
-    let json = std::fs::read_to_string(&path)?;
-    let probe: FormatProbe = serde_json::from_str(&json)
-        .map_err(|e| CatalogError::Corrupt(format!("manifest {path:?}: {e}")))?;
-    Ok(probe.format)
-}
 
 /// Reads and validates the VSC2 manifest in `dir` without touching any
 /// column file — enough for listings (schema, row count, on-disk bytes).
@@ -862,14 +851,18 @@ pub fn format_of(dir: &Path) -> Result<String, CatalogError> {
 pub fn peek(dir: &Path) -> Result<Manifest2, CatalogError> {
     let path = manifest_path(dir);
     let json = std::fs::read_to_string(&path)?;
-    let manifest: Manifest2 = serde_json::from_str(&json)
-        .map_err(|e| CatalogError::Corrupt(format!("manifest {path:?}: {e}")))?;
-    if manifest.format != FORMAT {
-        return Err(CatalogError::Corrupt(format!(
-            "unsupported format {:?} (this reader expects {FORMAT:?})",
-            manifest.format
-        )));
+    let corrupt = |e| CatalogError::Corrupt(format!("manifest {path:?}: {e}"));
+    let value = serde_json::parse_value(&json).map_err(corrupt)?;
+    // The tag is judged before the shape, so a manifest in another format
+    // is refused by name, not by whichever VSC2 field it happens to lack.
+    if let Some(format) = value.get("format").and_then(|f| f.as_str()) {
+        if format != FORMAT {
+            return Err(CatalogError::Corrupt(format!(
+                "unsupported format {format:?} (this reader expects {FORMAT:?})"
+            )));
+        }
     }
+    let manifest: Manifest2 = serde_json::from_value(&value).map_err(corrupt)?;
     if manifest.group_rows == 0 {
         return Err(CatalogError::Corrupt("manifest has group_rows = 0".into()));
     }
@@ -910,6 +903,9 @@ pub struct Loaded {
     pub mapped_bytes: u64,
     /// Heap bytes owned by the table's columns.
     pub owned_bytes: u64,
+    /// The manifest's [`Manifest2::data_bytes`] — the on-disk payload size
+    /// of exactly the manifest this table was loaded through.
+    pub data_bytes: u64,
 }
 
 impl Loaded {
@@ -1018,6 +1014,7 @@ pub fn load(dir: &Path) -> Result<Loaded, CatalogError> {
         zones,
         mapped_bytes,
         owned_bytes,
+        data_bytes: manifest.data_bytes(),
     })
 }
 
@@ -1355,6 +1352,7 @@ mod tests {
         let loaded = load(&dir).unwrap();
         tables_bit_identical(&table, &loaded.table);
         assert!(loaded.zones.covers(&loaded.table));
+        assert_eq!(loaded.data_bytes, peek(&dir).unwrap().data_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1363,7 +1361,7 @@ mod tests {
         let dir = tmp("compress");
         let table = demo_table(10_000);
         let manifest = save(&dir, &table, 1024).unwrap();
-        let raw = crate::vsc::table_resident_bytes(&table);
+        let raw = crate::table_owned_bytes(&table);
         assert!(
             manifest.data_bytes() * 3 <= raw,
             "expected >=3x compression, got {} vs {raw}",
@@ -1494,24 +1492,5 @@ mod tests {
         assert!(!plain.is_empty(), "predicate should select rows");
         assert!(stats.pruned > 0, "sorted measure should prune groups");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn format_dispatch_distinguishes_vsc1_and_vsc2() {
-        let dir1 = tmp("fmt1");
-        let dir2 = tmp("fmt2");
-        let table = demo_table(50);
-        crate::vsc::save(&dir1, &table).unwrap();
-        save(&dir2, &table, 16).unwrap();
-        assert_eq!(format_of(&dir1).unwrap(), "VSC1");
-        assert_eq!(format_of(&dir2).unwrap(), "VSC2");
-        assert!(matches!(peek(&dir1), Err(CatalogError::Corrupt(_))));
-        // Identity is format-independent: same table, same checksum.
-        assert_eq!(
-            crate::vsc::peek(&dir1).unwrap().table_checksum,
-            peek(&dir2).unwrap().table_checksum
-        );
-        let _ = std::fs::remove_dir_all(&dir1);
-        let _ = std::fs::remove_dir_all(&dir2);
     }
 }

@@ -1,12 +1,8 @@
-//! Property tests pinning the VSC2 on-disk format against two oracles:
-//!
-//! 1. **Itself** — `Table → save → load` must round-trip bit-identically
-//!    (columns, dictionaries, schema, zone maps) for arbitrary tables at
-//!    arbitrary row-group sizes, whatever mix of encodings the encoder
-//!    picks per chunk.
-//! 2. **VSC1** — the uncompressed format stays readable precisely so it
-//!    can act as a differential oracle: the same table saved both ways
-//!    must decode to bit-identical columns and the same table checksum.
+//! Property tests pinning the VSC2 on-disk format against its one oracle,
+//! the source table: `Table → save → load` must round-trip bit-identically
+//! (columns, dictionaries, schema, zone maps, content digest) for arbitrary
+//! tables at arbitrary row-group sizes, whatever mix of encodings the
+//! encoder picks per chunk.
 //!
 //! A corruption battery rides along: any single bit flip inside a chunk
 //! payload, any truncation of a column file, and a manifest that lies
@@ -16,11 +12,11 @@
 //! dataset fully loadable, because append only ever adds bytes and the
 //! manifest rename is the commit point.
 //!
-//! Table generation mirrors `prop_vsc.rs`: the vendored proptest shim has
-//! no heterogeneous strategy composition, so tables grow from a small
-//! spec (rows, per-column kind codes, one seed) expanded by a splitmix64
-//! stream — full adversarial coverage (NaN payloads, ±inf, -0.0,
-//! subnormals, awkward dictionary strings) on every case. The shim's
+//! Table generation: the vendored proptest shim has no heterogeneous
+//! strategy composition, so tables grow from a small spec (rows,
+//! per-column kind codes, one seed) expanded by a splitmix64 stream — full
+//! adversarial coverage (NaN payloads, ±inf, -0.0, subnormals, awkward
+//! dictionary strings) on every case. The shim's
 //! `proptest!` macro is also token-recursive, so each property body lives
 //! in a plain `check_*` function and the macro input stays minimal.
 
@@ -28,7 +24,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use viewseeker_catalog::{vsc, vsc2, CatalogError};
+use viewseeker_catalog::digest::{hex, table_checksum};
+use viewseeker_catalog::{vsc2, CatalogError};
 use viewseeker_dataset::schema::{AttributeRole, ColumnMeta, ColumnType};
 use viewseeker_dataset::{Column, Schema, Table, ZoneMaps};
 
@@ -159,38 +156,28 @@ fn tables_bit_identical(a: &Table, b: &Table) -> bool {
         && (0..a.schema().len()).all(|i| columns_bit_identical(a.column(i), b.column(i)))
 }
 
-/// Round trip plus the VSC1 differential: both formats must decode the
-/// same table to bit-identical columns, and the (format-independent)
-/// table checksum must agree. The loaded zone maps must equal a fresh
-/// in-memory build — a wrong zone would make pruning skip live rows.
-fn check_round_trip_against_vsc1(table: &Table, group_rows: usize) {
-    let dir2 = fresh_dir("rt2");
-    let dir1 = fresh_dir("rt1");
-    let manifest = vsc2::save(&dir2, table, group_rows).unwrap();
+/// Round trip against the source table: the load must be bit-identical
+/// to what was saved and digest the same, and the digest the manifest
+/// persists must be the source table's. The loaded zone maps must equal a
+/// fresh in-memory build — a wrong zone would make pruning skip live rows.
+fn check_round_trip(table: &Table, group_rows: usize) {
+    let dir = fresh_dir("rt");
+    let manifest = vsc2::save(&dir, table, group_rows).unwrap();
     assert_eq!(manifest.rows, table.row_count() as u64);
     assert_eq!(
         manifest.group_count(),
         table.row_count().div_ceil(group_rows)
     );
-    vsc::save(&dir1, table).unwrap();
+    assert_eq!(manifest.table_checksum, hex(table_checksum(table)));
 
-    let loaded = vsc2::load(&dir2).unwrap();
-    let via_vsc1 = vsc::load(&dir1).unwrap();
+    let loaded = vsc2::load(&dir).unwrap();
     assert!(
         tables_bit_identical(&loaded.table, table),
         "VSC2 round trip changed the table"
     );
-    assert!(
-        tables_bit_identical(&loaded.table, &via_vsc1),
-        "VSC2 and VSC1 decoded different tables"
-    );
-    assert_eq!(
-        vsc::table_checksum(&loaded.table),
-        vsc::table_checksum(&via_vsc1)
-    );
+    assert_eq!(table_checksum(&loaded.table), table_checksum(table));
     assert_eq!(loaded.zones, ZoneMaps::build(table, group_rows));
-    let _ = std::fs::remove_dir_all(&dir2);
-    let _ = std::fs::remove_dir_all(&dir1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Any single bit flip inside any chunk payload is rejected with a typed
@@ -243,7 +230,7 @@ fn check_truncation_rejected(table: &Table, group_rows: usize, pick: u64) {
 fn check_row_tampering_rejected(table: &Table, group_rows: usize) {
     let dir = fresh_dir("rows");
     vsc2::save(&dir, table, group_rows).unwrap();
-    let path = dir.join(vsc::MANIFEST);
+    let path = dir.join(vsc2::MANIFEST);
     let json = std::fs::read_to_string(&path).unwrap();
     let mut manifest: vsc2::Manifest2 = serde_json::from_str(&json).unwrap();
     manifest.rows += 1;
@@ -262,7 +249,7 @@ fn check_row_tampering_rejected(table: &Table, group_rows: usize) {
 fn check_interrupted_append(table: &Table, group_rows: usize, tail_rows: usize, tail_seed: u64) {
     let dir = fresh_dir("append");
     let manifest = vsc2::save(&dir, table, group_rows).unwrap();
-    let manifest_path = dir.join(vsc::MANIFEST);
+    let manifest_path = dir.join(vsc2::MANIFEST);
     let old_manifest_bytes = std::fs::read(&manifest_path).unwrap();
 
     // Same kind codes → same schema; fresh seed → fresh cell data and
@@ -308,10 +295,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn vsc2_round_trips_and_decodes_identically_to_vsc1(
+    fn vsc2_round_trips_bit_identically_to_the_source_table(
         (table, group_rows) in arb_table_and_groups(),
     ) {
-        check_round_trip_against_vsc1(&table, group_rows);
+        check_round_trip(&table, group_rows);
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub enum Command {
         /// prints).
         out: Option<String>,
     },
-    /// Manage the on-disk dataset catalog (VSC1 columnar store).
+    /// Manage the on-disk dataset catalog (VSC2 columnar store).
     Dataset(DatasetCmd),
     /// Inspect a running sharded/peered deployment.
     Cluster(ClusterCmd),
@@ -189,7 +189,7 @@ pub enum Command {
 /// Actions under `viewseeker dataset`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DatasetCmd {
-    /// Convert a CSV file to VSC1 inside the catalog directory.
+    /// Convert a CSV file to VSC2 inside the catalog directory.
     Import {
         /// Catalog directory.
         data_dir: String,
@@ -199,7 +199,7 @@ pub enum DatasetCmd {
         name: Option<String>,
     },
     /// Append a CSV file's rows (same schema, header required) to an
-    /// existing dataset, atomically upgrading VSC1 stores to VSC2.
+    /// existing dataset, atomically.
     Append {
         /// Catalog directory.
         data_dir: String,

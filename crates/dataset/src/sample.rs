@@ -5,7 +5,6 @@
 //! experiments are reproducible.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::selection::RowSet;
@@ -33,20 +32,6 @@ pub fn bernoulli_sample(rows: &RowSet, fraction: f64, seed: u64) -> RowSet {
     // Filtering a sorted id list preserves strict ordering, so this cannot
     // fail; the fallback keeps the path panic-free regardless.
     RowSet::from_sorted_ids(ids).unwrap_or_else(|_| RowSet::empty())
-}
-
-/// Draws exactly `min(k, rows.len())` rows uniformly without replacement,
-/// deterministically for a given seed.
-#[must_use]
-pub fn fixed_size_sample(rows: &RowSet, k: usize, seed: u64) -> RowSet {
-    if k >= rows.len() {
-        return rows.clone();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pool: Vec<u32> = rows.ids().to_vec();
-    pool.shuffle(&mut rng);
-    pool.truncate(k);
-    RowSet::from_ids(pool).expect("sampled ids are valid")
 }
 
 #[cfg(test)]
@@ -84,20 +69,6 @@ mod tests {
         let rows = RowSet::from_ids((0..1000).step_by(3).collect()).unwrap();
         let s = bernoulli_sample(&rows, 0.5, 99);
         assert!(s.ids().iter().all(|id| rows.contains(*id)));
-    }
-
-    #[test]
-    fn fixed_size_exact_count() {
-        let rows = RowSet::all(1000);
-        let s = fixed_size_sample(&rows, 37, 3);
-        assert_eq!(s.len(), 37);
-        assert!(s.ids().iter().all(|id| *id < 1000));
-    }
-
-    #[test]
-    fn fixed_size_caps_at_population() {
-        let rows = RowSet::all(10);
-        assert_eq!(fixed_size_sample(&rows, 100, 3).len(), 10);
     }
 
     #[test]

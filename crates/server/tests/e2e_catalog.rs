@@ -2,7 +2,7 @@
 //! run the full interactive loop against it, verify the delete-with-live-
 //! sessions refcount guard, and check the catalog series in the
 //! Prometheus scrape. A second server over the same `--data-dir` proves
-//! the VSC1 store survives restarts.
+//! the VSC2 store survives restarts.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -329,7 +329,7 @@ fn csv_upload_session_loop_delete_guard_and_metrics() {
         "{scrape}"
     );
 
-    // --- Restart over the same data dir: the VSC1 store survives. ---
+    // --- Restart over the same data dir: the VSC2 store survives. ---
     handle.shutdown();
     let handle = server(&dir);
     let addr = handle.addr();

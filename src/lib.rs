@@ -15,7 +15,7 @@
 //!
 //! * [`dataset`] — in-memory columnar engine: tables, predicates, group-by
 //!   aggregation, binning, sampling, CSV, synthetic-dataset generators;
-//! * [`catalog`] — persistent dataset store: the VSC1 on-disk columnar
+//! * [`catalog`] — persistent dataset store: the VSC2 on-disk columnar
 //!   format, CSV ingestion, and a shared in-memory table cache so many
 //!   sessions resolve one `Arc<Table>`;
 //! * [`stats`] — distributions, histogram distances (KL/EMD/L1/L2/L∞), χ²;
