@@ -1,8 +1,10 @@
 //! ViewSeeker configuration.
 //!
-//! Defaults reproduce the paper's testbed parameters (Table 1): one view
-//! presented per iteration (`M = 1`), α = 10% partial-data ratio, a 1-second
-//! per-iteration time limit, and the 8 utility features of §3.1.
+//! [`ViewSeekerConfig::default`] presents one view per iteration (`M = 1`,
+//! paper Table 1) and computes exact features (α = 1), so its 200 ms
+//! refinement budget is idle until a caller lowers `alpha`. Table 1's
+//! optimization parameters — α = 10% partial-data ratio and a 1-second
+//! per-iteration time limit `tl` — are [`ViewSeekerConfig::optimized`].
 
 use std::time::Duration;
 
@@ -13,11 +15,19 @@ use crate::CoreError;
 /// constraint tl is obeyed").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineBudget {
-    /// Refine at most this many views per iteration (deterministic; used by
-    /// tests and reproducible experiments).
+    /// Refine exactly the first `n` still-rough views in priority order per
+    /// iteration, in one fused pass (deterministic; used by tests and
+    /// reproducible experiments). `Views(0)` disables refinement.
     Views(usize),
-    /// Refine until this much wall-clock time has elapsed (the paper's
-    /// actual mechanism; used by the runtime benchmarks).
+    /// Refine within this much wall-clock time per iteration (the paper's
+    /// `tl`; used by the service and the runtime benchmarks). Views are
+    /// refined in whole fused-scan buckets — a `(dimension, bins)` pair and
+    /// all its views. The first batch is the bucket of the highest-priority
+    /// rough view; each later batch takes as many further buckets as the
+    /// time left covers at the per-bucket time the previous batch measured,
+    /// and the iteration stops when that is none. At least one bucket is
+    /// refined per iteration, and the budget is overshot by at most one
+    /// batch that was predicted to fit. See [`crate::optimize`].
     Time(Duration),
 }
 

@@ -45,10 +45,7 @@ use crate::trace::{
     duration_us, noop_tracer, IterationTrace, RefinementBudgetReport, Stopwatch, TracePhase, Tracer,
 };
 use crate::view::{ViewId, ViewSpace};
-use crate::viewgen::{
-    materialize_all_fused_pruned, materialize_all_fused_with_stats, materialize_view,
-    FusedRetained, ViewData,
-};
+use crate::viewgen::{materialize_all_fused_pruned, FusedRetained, GroupPlan, ViewData};
 use crate::CoreError;
 
 /// Which stage of the interactive phase the session is in.
@@ -88,7 +85,9 @@ pub struct Seeker<H: Borrow<Table>> {
     /// its own copy and is refreshed through `update_matrix`.
     matrix: FeatureMatrix,
     session: FeedbackSession,
-    refiner: Option<IncrementalRefiner>,
+    /// α-refinement state; `None` when the features were computed exactly
+    /// (α = 1, or the exact rebuild after an append).
+    refinement: Option<Refinement>,
     refinement_time: Duration,
     tracer: Arc<dyn Tracer>,
     iterations: u64,
@@ -150,6 +149,15 @@ struct RefinementReport {
     budget: Option<RefinementBudgetReport>,
 }
 
+/// An α-sampled session's refinement state: which views still hold rough
+/// features, and the plan of the sampled pass, whose bin specs every
+/// refinement pass reuses.
+#[derive(Debug)]
+struct Refinement {
+    refiner: IncrementalRefiner,
+    plan: GroupPlan,
+}
+
 /// What the offline phase produced.
 struct Materialized {
     views: Vec<ViewData>,
@@ -160,6 +168,8 @@ struct Materialized {
     zones: Option<Arc<ZoneMaps>>,
     /// Mergeable aggregates; the exact pass only.
     retained: Option<FusedRetained>,
+    /// The sampled pass's plan, kept for refinement; the sampled pass only.
+    plan: Option<GroupPlan>,
 }
 
 /// The offline materialization behind both session construction and the
@@ -190,19 +200,22 @@ fn materialize(
             stats,
             zones: Some(zones),
             retained: Some(retained),
+            plan: None,
         });
     }
     let dq = query.execute(table)?;
     let sampled_dq = bernoulli_sample(&dq, config.alpha, config.seed);
     let sampled_dr = bernoulli_sample(&table.all_rows(), config.alpha, config.seed.wrapping_add(1));
-    let (views, stats) =
-        materialize_all_fused_with_stats(table, &sampled_dq, &sampled_dr, space, threads)?;
+    let plan = GroupPlan::build(table, space)?;
+    let all: Vec<usize> = (0..space.len()).collect();
+    let (views, stats) = plan.materialize_views(table, &sampled_dq, &sampled_dr, &all, threads)?;
     Ok(Materialized {
         views,
         dq,
         stats,
         zones,
         retained: None,
+        plan: Some(plan),
     })
 }
 
@@ -269,6 +282,7 @@ impl<H: Borrow<Table>> Seeker<H> {
             stats,
             zones,
             retained,
+            plan,
         } = materialize(table_ref, query, &space, &config, zones)?;
         let mat_elapsed = mat_started.elapsed();
         let materialization = MaterializationReport {
@@ -286,7 +300,13 @@ impl<H: Borrow<Table>> Seeker<H> {
         let matrix = FeatureMatrix::from_views(&views, config.usability_optimal_bins)?;
         tracer.record_span(TracePhase::FeatureExtraction, feat_started.elapsed());
 
-        let refiner = (config.alpha < 1.0).then(|| IncrementalRefiner::new(space.len()));
+        let refinement = match plan {
+            Some(plan) => Some(Refinement {
+                refiner: IncrementalRefiner::new(plan.view_buckets()?),
+                plan,
+            }),
+            None => None,
+        };
         let session = FeedbackSession::new(matrix.clone(), config.clone())?;
         let dr = table_ref.all_rows();
 
@@ -301,7 +321,7 @@ impl<H: Borrow<Table>> Seeker<H> {
             retained,
             matrix,
             session,
-            refiner,
+            refinement,
             refinement_time: Duration::ZERO,
             tracer,
             iterations: 0,
@@ -368,7 +388,6 @@ impl<H: Borrow<Table>> Seeker<H> {
                 new_ref,
                 old_rows,
                 self.query.predicate(),
-                &self.space,
                 self.config.effective_threads(),
             )? {
                 let matrix = FeatureMatrix::from_views(&views, self.config.usability_optimal_bins)?;
@@ -419,7 +438,7 @@ impl<H: Borrow<Table>> Seeker<H> {
         self.dq = built.dq;
         self.zones = built.zones;
         self.retained = built.retained;
-        self.refiner = None;
+        self.refinement = None;
         self.dr = new_ref.all_rows();
         self.table = table;
         Ok(AppendReport {
@@ -488,7 +507,7 @@ impl<H: Borrow<Table>> Seeker<H> {
     /// optimization is disabled or refinement has finished.
     #[must_use]
     pub fn pending_refinements(&self) -> usize {
-        self.refiner.as_ref().map_or(0, IncrementalRefiner::pending)
+        self.refinement.as_ref().map_or(0, |r| r.refiner.pending())
     }
 
     /// The rows selected by the session's query (`DQ`).
@@ -606,12 +625,13 @@ impl<H: Borrow<Table>> Seeker<H> {
     }
 
     /// Runs one incremental-refinement budget (paper §3.3): recomputes the
-    /// full-data features of the highest-priority still-rough views, then
+    /// full-data features of the highest-priority still-rough views, in
+    /// batches of one fused pass each (see [`crate::optimize`]), then
     /// renormalizes the matrix and pushes it into the session (which refits
     /// the estimators). Returns the phase timings of the pass for the
     /// iteration trace.
     fn run_refinement(&mut self) -> Result<RefinementReport, CoreError> {
-        let Some(refiner) = &mut self.refiner else {
+        let Some(Refinement { refiner, plan }) = &mut self.refinement else {
             return Ok(RefinementReport::default());
         };
         if refiner.is_complete() {
@@ -634,13 +654,21 @@ impl<H: Borrow<Table>> Seeker<H> {
         let table = self.table.borrow();
         let dq = &self.dq;
         let dr = &self.dr;
-        let space = &self.space;
         let matrix = &mut self.matrix;
         let opt_bins = self.config.usability_optimal_bins;
-        let refined = refiner.refine_batch(&priority, self.config.refine_budget, |i| {
-            let def = space.def(ViewId::new_unchecked(i))?;
-            let data = materialize_view(table, dq, dr, def)?;
-            matrix.update_raw(i, compute_features(&data, opt_bins)?)
+        let threads = self.config.effective_threads();
+        let refined = refiner.refine(&priority, self.config.refine_budget, |batch| {
+            // Every feature of the batch is computed before the matrix is
+            // touched, so a failed pass leaves it unchanged.
+            let (views, _) = plan.materialize_views(table, dq, dr, batch, threads)?;
+            let features = views
+                .iter()
+                .map(|data| compute_features(data, opt_bins))
+                .collect::<Result<Vec<_>, _>>()?;
+            for (&i, row) in batch.iter().zip(features) {
+                matrix.update_raw(i, row)?;
+            }
+            Ok(())
         })?;
         let batch_elapsed = batch_started.elapsed();
         self.tracer
@@ -836,6 +864,88 @@ mod tests {
         }
         assert_eq!(s.pending_refinements(), 0);
         assert!(s.refinement_time() > Duration::ZERO);
+    }
+
+    #[test]
+    fn refinement_converges_to_the_exact_features_bit_for_bit() {
+        // A refined view is computed with the exact pass's bin specs,
+        // partition grid and per-slot accumulation order, so once nothing
+        // is pending the α-sampled session's matrix *is* the exact one.
+        // 45 views in 3 buckets; 9 000 rows span three scan partitions.
+        let table = generate_diab(&DiabConfig {
+            rows: 9_000,
+            dimension_cardinalities: vec![2, 5, 3],
+            measures: 3,
+            seed: 11,
+            ..DiabConfig::default()
+        })
+        .unwrap();
+        let query = SelectQuery::new(Predicate::eq("a0", "a0_v0"));
+        for threads in [1, 8] {
+            let exact_cfg = ViewSeekerConfig {
+                init_threads: threads,
+                ..ViewSeekerConfig::default()
+            };
+            let exact = ViewSeeker::new(&table, &query, exact_cfg.clone()).unwrap();
+            for alpha in [0.2, 0.4] {
+                for budget in [
+                    RefineBudget::Views(1),
+                    RefineBudget::Views(37),
+                    RefineBudget::Time(Duration::ZERO),
+                    RefineBudget::Time(Duration::from_millis(200)),
+                ] {
+                    let cfg = ViewSeekerConfig {
+                        alpha,
+                        refine_budget: budget,
+                        ..exact_cfg.clone()
+                    };
+                    let mut s = ViewSeeker::new(&table, &query, cfg).unwrap();
+                    assert_ne!(s.feature_matrix(), exact.feature_matrix());
+                    let mut turn = 0;
+                    while s.pending_refinements() > 0 {
+                        if let Some(&v) = s.next_views(1).unwrap().first() {
+                            s.submit_feedback(v, if turn % 2 == 0 { 0.9 } else { 0.1 })
+                                .unwrap();
+                        }
+                        turn += 1;
+                        assert!(turn <= s.view_space().len(), "refinement stalled");
+                    }
+                    assert!(
+                        s.feature_matrix() == exact.feature_matrix(),
+                        "threads={threads} alpha={alpha} {budget:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_refinement_pass_leaves_matrix_and_backlog_unchanged() {
+        let (full, query) = testbed();
+        let cfg = ViewSeekerConfig {
+            alpha: 0.2,
+            refine_budget: RefineBudget::Views(40),
+            ..ViewSeekerConfig::default()
+        };
+        let mut s = ViewSeeker::new(&full, &query, cfg).unwrap();
+        let _ = s.next_views(1).unwrap();
+        let pending = s.pending_refinements();
+        let matrix = s.feature_matrix().clone();
+        // A shorter table makes the pass fail: DQ holds row ids past its end.
+        let short = split(&full, 2_000);
+        s.table = &short;
+        assert!(matches!(
+            s.next_views(1),
+            Err(CoreError::Dataset(
+                viewseeker_dataset::DatasetError::IndexOutOfRange { .. }
+            ))
+        ));
+        assert_eq!(s.pending_refinements(), pending);
+        assert!(s.feature_matrix() == &matrix);
+        assert!(s.matrix == matrix);
+        s.table = &full;
+        let _ = s.next_views(1).unwrap();
+        assert_eq!(s.pending_refinements(), pending - 40);
     }
 
     #[test]

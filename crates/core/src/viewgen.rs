@@ -16,7 +16,7 @@ use viewseeker_dataset::executor::{
     fused_group_by_all, fused_group_by_all_pruned, fused_group_by_all_raw, FusedGroupResult,
     FusedScanStats, GroupRequest, RawAggregates,
 };
-use viewseeker_dataset::{BinSpec, Predicate, RowSet, Table, ZoneMaps};
+use viewseeker_dataset::{AggregateFunction, BinSpec, Predicate, RowSet, Table, ZoneMaps};
 use viewseeker_stats::Distribution;
 
 use crate::view::{ViewDef, ViewSpace};
@@ -67,32 +67,45 @@ fn bin_spec_for_dimension(
 type GroupKey = (String, Option<usize>, String);
 
 /// The fused execution plan of a view space: its unique scan groups
-/// in first-seen order, each view's group, and one [`BinSpec`] per distinct
-/// `(dimension, bins)` pair — specs do not depend on the measure, so each
-/// is derived exactly once.
-struct GroupPlan {
+/// in first-seen order, each view's group and aggregate, and one
+/// [`BinSpec`] per distinct `(dimension, bins)` pair — the executor's
+/// *bucket*. Specs do not depend on the measure, so each is derived exactly
+/// once, from the full table.
+///
+/// An α-sampled session keeps its plan, so every refinement pass
+/// ([`GroupPlan::materialize_views`]) bins with the specs the sampled pass
+/// used instead of re-deriving them.
+#[derive(Debug)]
+pub struct GroupPlan {
     /// Unique `(dimension, bins, measure)` groups, first-seen order.
     keys: Vec<GroupKey>,
-    /// Group index of every view in the space, in view order.
-    view_groups: Vec<usize>,
-    /// Deduplicated bin specs.
+    /// Group index and aggregate of every view in the space, in view order.
+    views: Vec<(usize, AggregateFunction)>,
+    /// Deduplicated bin specs, one per bucket.
     specs: Vec<BinSpec>,
-    /// Spec index of every group in `keys`.
+    /// Spec (bucket) index of every group in `keys`.
     group_specs: Vec<usize>,
 }
 
 impl GroupPlan {
-    fn build(table: &Table, space: &ViewSpace) -> Result<GroupPlan, CoreError> {
+    /// Plans the fused materialization of every view of `space`, deriving
+    /// each bucket's bin spec from `table`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bin-spec derivation errors (unknown columns, type
+    /// mismatches).
+    pub fn build(table: &Table, space: &ViewSpace) -> Result<GroupPlan, CoreError> {
         let mut keys: Vec<GroupKey> = Vec::new();
         let mut key_index: HashMap<GroupKey, usize> = HashMap::new();
-        let mut view_groups = Vec::with_capacity(space.len());
+        let mut views = Vec::with_capacity(space.len());
         for def in space.defs() {
             let key = (def.dimension.clone(), def.bins, def.measure.clone());
             let idx = *key_index.entry(key.clone()).or_insert_with(|| {
                 keys.push(key);
                 keys.len() - 1
             });
-            view_groups.push(idx);
+            views.push((idx, def.aggregate));
         }
 
         let mut spec_keys: Vec<(String, Option<usize>)> = Vec::new();
@@ -113,17 +126,106 @@ impl GroupPlan {
 
         Ok(GroupPlan {
             keys,
-            view_groups,
+            views,
             specs,
             group_specs,
         })
     }
 
-    /// The spec of group `g`; `None` for an out-of-range group (the plan
-    /// builder assigns every group a spec, so callers treat that as an
-    /// internal invariant violation).
-    fn spec_of(&self, g: usize) -> Option<&BinSpec> {
-        self.specs.get(self.group_specs.get(g).copied()?)
+    /// The bucket — the `(dimension, bins)` pair, which fixes one bin
+    /// assignment and one row stream in the fused scan — of every view, in
+    /// view order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Invalid`] if a group lost its spec (an internal
+    /// invariant violation).
+    pub(crate) fn view_buckets(&self) -> Result<Vec<usize>, CoreError> {
+        self.views
+            .iter()
+            .map(|&(g, _)| {
+                self.group_specs
+                    .get(g)
+                    .copied()
+                    .ok_or_else(|| CoreError::Invalid(format!("scan group {g} has no bin spec")))
+            })
+            .collect()
+    }
+
+    /// Group `g` as an executor request.
+    fn request(&self, g: usize) -> Result<GroupRequest, CoreError> {
+        let (dimension, _bins, measure) = self
+            .keys
+            .get(g)
+            .ok_or_else(|| CoreError::Invalid(format!("scan group {g} out of range")))?;
+        let spec = self
+            .group_specs
+            .get(g)
+            .and_then(|&s| self.specs.get(s))
+            .ok_or_else(|| CoreError::Invalid(format!("scan group {g} has no bin spec")))?;
+        Ok(GroupRequest {
+            dimension: dimension.clone(),
+            spec: spec.clone(),
+            measure: measure.clone(),
+        })
+    }
+
+    /// Every group of the plan as executor requests, in group order.
+    fn requests(&self) -> Result<Vec<GroupRequest>, CoreError> {
+        (0..self.keys.len()).map(|g| self.request(g)).collect()
+    }
+
+    /// Materializes the views `ids` (indices into the planned space) with
+    /// **one** [`fused_group_by_all`] pass over exactly the scan groups they
+    /// need, and returns their data in `ids` order plus the scan's stats.
+    ///
+    /// A view's slots are accumulated over the same rows in the same order
+    /// whichever other groups share the pass, and the partition grid depends
+    /// only on `dr`, so each view's data is bit-identical to what a pass over
+    /// the whole space returns for it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownView`] for an id outside the planned space;
+    /// everything [`fused_group_by_all`] reports.
+    pub fn materialize_views(
+        &self,
+        table: &Table,
+        dq: &RowSet,
+        dr: &RowSet,
+        ids: &[usize],
+        threads: usize,
+    ) -> Result<(Vec<ViewData>, FusedScanStats), CoreError> {
+        let planned = ids
+            .iter()
+            .map(|&id| {
+                self.views
+                    .get(id)
+                    .copied()
+                    .ok_or(CoreError::UnknownView(id))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // The groups the views need, in group order.
+        let mut needed: Vec<usize> = planned.iter().map(|&(g, _)| g).collect();
+        needed.sort_unstable();
+        needed.dedup();
+        let requests = needed
+            .iter()
+            .map(|&g| self.request(g))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (groups, stats) = fused_group_by_all(table, dq, dr, &requests, threads)?;
+        let views = planned
+            .iter()
+            .map(|&(g, aggregate)| {
+                let l = needed.binary_search(&g).ok();
+                view_data(
+                    l.and_then(|l| groups.get(l)),
+                    l.and_then(|l| requests.get(l)),
+                    aggregate,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((views, stats))
     }
 }
 
@@ -223,61 +325,40 @@ pub fn materialize_all_fused_with_stats(
     space: &ViewSpace,
     threads: usize,
 ) -> Result<(Vec<ViewData>, FusedScanStats), CoreError> {
-    let plan = GroupPlan::build(table, space)?;
-    let requests = plan.requests()?;
-    let (groups, stats) = fused_group_by_all(table, dq, dr, &requests, threads)?;
-    let views = views_from_groups(space, &plan.view_groups, &requests, &groups)?;
-    Ok((views, stats))
+    let ids: Vec<usize> = (0..space.len()).collect();
+    GroupPlan::build(table, space)?.materialize_views(table, dq, dr, &ids, threads)
 }
 
-impl GroupPlan {
-    /// The plan's groups as executor requests, in group order.
-    fn requests(&self) -> Result<Vec<GroupRequest>, CoreError> {
-        self.keys
-            .iter()
-            .enumerate()
-            .map(|(g, (dimension, _bins, measure))| {
-                let spec = self
-                    .spec_of(g)
-                    .ok_or_else(|| CoreError::Invalid(format!("scan group {g} has no bin spec")))?;
-                Ok(GroupRequest {
-                    dimension: dimension.clone(),
-                    spec: spec.clone(),
-                    measure: measure.clone(),
-                })
-            })
-            .collect()
-    }
+/// One view's [`ViewData`] from its group's finalized result.
+fn view_data(
+    group: Option<&FusedGroupResult>,
+    request: Option<&GroupRequest>,
+    aggregate: AggregateFunction,
+) -> Result<ViewData, CoreError> {
+    let (Some(group), Some(request)) = (group, request) else {
+        return Err(CoreError::Invalid(
+            "view maps to a missing scan group".into(),
+        ));
+    };
+    Ok(ViewData {
+        target: Distribution::from_aggregates(group.target.aggregates(aggregate))?,
+        reference: Distribution::from_aggregates(group.reference.aggregates(aggregate))?,
+        target_rows: group.target.total_rows(),
+        dispersion: group.target.dispersion,
+        bins: request.spec.bin_count(),
+    })
 }
 
-/// Reassembles per-view [`ViewData`] from finalized per-group results.
+/// Reassembles every view's [`ViewData`] from the finalized results of a
+/// pass over all of `views`' groups, in group order.
 fn views_from_groups(
-    space: &ViewSpace,
-    view_groups: &[usize],
+    views: &[(usize, AggregateFunction)],
     requests: &[GroupRequest],
     groups: &[FusedGroupResult],
 ) -> Result<Vec<ViewData>, CoreError> {
-    space
-        .defs()
+    views
         .iter()
-        .zip(view_groups)
-        .map(|(def, &g)| {
-            let group = groups.get(g).ok_or_else(|| {
-                CoreError::Invalid(format!("view maps to missing scan group {g}"))
-            })?;
-            let request = requests
-                .get(g)
-                .ok_or_else(|| CoreError::Invalid(format!("scan group {g} has no request")))?;
-            Ok(ViewData {
-                target: Distribution::from_aggregates(group.target.aggregates(def.aggregate))?,
-                reference: Distribution::from_aggregates(
-                    group.reference.aggregates(def.aggregate),
-                )?,
-                target_rows: group.target.total_rows(),
-                dispersion: group.target.dispersion,
-                bins: request.spec.bin_count(),
-            })
-        })
+        .map(|&(g, aggregate)| view_data(groups.get(g), requests.get(g), aggregate))
         .collect()
 }
 
@@ -289,7 +370,7 @@ fn views_from_groups(
 #[derive(Debug)]
 pub struct FusedRetained {
     requests: Vec<GroupRequest>,
-    view_groups: Vec<usize>,
+    views: Vec<(usize, AggregateFunction)>,
     raw: RawAggregates,
 }
 
@@ -317,14 +398,14 @@ pub fn materialize_all_fused_pruned(
     let plan = GroupPlan::build(table, space)?;
     let requests = plan.requests()?;
     let (raw, dq, stats) = fused_group_by_all_pruned(table, zones, predicate, &requests, threads)?;
-    let views = views_from_groups(space, &plan.view_groups, &requests, &raw.finalize())?;
+    let views = views_from_groups(&plan.views, &requests, &raw.finalize())?;
     Ok((
         views,
         dq,
         stats,
         FusedRetained {
             requests,
-            view_groups: plan.view_groups,
+            views: plan.views,
             raw,
         },
     ))
@@ -353,7 +434,6 @@ impl FusedRetained {
         table: &Table,
         old_rows: usize,
         predicate: &Predicate,
-        space: &ViewSpace,
         threads: usize,
     ) -> Result<Option<(Vec<ViewData>, RowSet, FusedScanStats)>, CoreError> {
         let new_rows = table.row_count();
@@ -383,12 +463,7 @@ impl FusedRetained {
         let (tail_raw, stats) =
             fused_group_by_all_raw(&tail, &tail_dq_local, &tail_dr, &self.requests, threads)?;
         self.raw.merge(&tail_raw)?;
-        let views = views_from_groups(
-            space,
-            &self.view_groups,
-            &self.requests,
-            &self.raw.finalize(),
-        )?;
+        let views = views_from_groups(&self.views, &self.requests, &self.raw.finalize())?;
         let global: Vec<u32> = tail_dq_local
             .ids()
             .iter()

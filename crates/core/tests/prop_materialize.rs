@@ -16,10 +16,15 @@
 //!    partition merge reassociates sums), but the fused executor itself is
 //!    required to be bit-identical for *any* thread count, because its
 //!    partition grid depends only on the data.
+//!
+//! A third property backs α-refinement: a pass over any *subset* of the
+//! views ([`GroupPlan::materialize_views`]) returns, for each of them, the
+//! data the pass over the whole space returns, bit for bit.
 
 use proptest::prelude::*;
-use viewseeker_core::viewgen::{materialize_all, materialize_all_fused};
+use viewseeker_core::viewgen::{materialize_all, materialize_all_fused, GroupPlan};
 use viewseeker_core::ViewSpace;
+use viewseeker_dataset::sample::bernoulli_sample;
 use viewseeker_dataset::{Column, Predicate, Schema, Table};
 
 /// A random table with one categorical dimension, one numeric dimension,
@@ -113,6 +118,36 @@ proptest! {
         for threads in [2usize, 3, 8] {
             let parallel = materialize_all_fused(&table, &dq, &dr, &space, threads).unwrap();
             prop_assert_eq!(&serial, &parallel, "threads={} diverged", threads);
+        }
+    }
+
+    #[test]
+    fn a_subset_pass_matches_the_full_pass_bit_identically(
+        table in arb_float_table(),
+        predicate in arb_predicate(),
+        picks in proptest::collection::vec(0u8..2, 30),
+        sampled_dr in 0u8..2,
+        threads in 1usize..9,
+    ) {
+        let dq = predicate.evaluate(&table).unwrap();
+        // A sampled DR leaves DQ rows outside it, exercising the tail pass.
+        let dr = if sampled_dr == 1 {
+            bernoulli_sample(&table.all_rows(), 0.5, 3)
+        } else {
+            table.all_rows()
+        };
+        let space = ViewSpace::enumerate(&table, &[2, 3]).unwrap();
+        let full = materialize_all_fused(&table, &dq, &dr, &space, threads).unwrap();
+        // Ids in descending order: the result follows the caller's order.
+        let ids: Vec<usize> = (0..space.len())
+            .rev()
+            .filter(|&i| picks.get(i) == Some(&1))
+            .collect();
+        let plan = GroupPlan::build(&table, &space).unwrap();
+        let (subset, _) = plan.materialize_views(&table, &dq, &dr, &ids, threads).unwrap();
+        prop_assert_eq!(subset.len(), ids.len());
+        for (got, &i) in subset.iter().zip(&ids) {
+            prop_assert_eq!(got, &full[i], "view {}", i);
         }
     }
 }
