@@ -1,167 +1,18 @@
-//! One-shot reproduction: regenerates **every** table and figure of the
-//! paper plus all ablations, and writes a single markdown report.
+//! Regenerates every table and figure of the paper plus the ablations, and
+//! prints the markdown report to stdout:
 //!
 //! ```text
-//! cargo run --release -p viewseeker-bench --bin reproduce_all -- --json report.md
+//! cargo run --release -p viewseeker-bench --bin reproduce_all > results/REPRODUCTION.md
 //! cargo run --release -p viewseeker-bench --bin reproduce_all -- --paper   # full scale
 //! ```
 //!
-//! The `--json PATH` flag (shared with the other binaries) names the output
-//! report here; default `results/REPRODUCTION.md`.
+//! Everything above `## Timings` is deterministic and is the golden that
+//! `crates/bench/tests/reproduction.rs` checks; see the crate docs for flags.
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use viewseeker_bench::{banner, BenchArgs};
-use viewseeker_core::{ViewSeekerConfig, ViewSpace};
-use viewseeker_eval::experiments::effort::PAPER_KS;
-use viewseeker_eval::experiments::{
-    alpha_sweep, baseline_experiment, batch_size_sweep, noise_sweep, optimization_experiment,
-    strategy_ablation, user_effort_experiment,
-};
-use viewseeker_eval::report::{
-    alpha_table, baseline_table, batch_table, effort_table, markdown_table, noise_table,
-    optimization_labels_table, optimization_runtime_table, strategy_table,
-};
-use viewseeker_eval::{diab_testbed, ideal_functions, syn_testbed};
+use viewseeker_bench::{reproduce, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::parse();
-    banner(
-        "Full reproduction run",
-        "regenerating Tables 1-2, Figures 3-7, and all ablations",
-    );
-    let started = Instant::now();
-    let mut md = String::from("# ViewSeeker reproduction report\n\n");
-    let _ = writeln!(
-        md,
-        "Generated by `reproduce_all` (seed {}, {} threads{}).\n",
-        args.seed,
-        args.threads,
-        if args.paper { ", paper scale" } else { "" }
-    );
-
-    let diab = diab_testbed(args.scale(20_000), args.seed).expect("DIAB testbed");
-    let syn = syn_testbed(args.scale(50_000), args.seed).expect("SYN testbed");
-    let config = args.seeker_config();
-
-    // --- Table 1 ---
-    eprintln!("[1/10] Table 1: testbed parameters");
-    let diab_views = ViewSpace::enumerate(&diab.table, &diab.bin_configs).expect("views");
-    let syn_views = ViewSpace::enumerate(&syn.table, &syn.bin_configs).expect("views");
-    md.push_str("## Table 1 — testbed parameters\n\n");
-    md.push_str(&markdown_table(
-        &["parameter", "DIAB", "SYN"],
-        &[
-            vec![
-                "records".into(),
-                diab.table.row_count().to_string(),
-                syn.table.row_count().to_string(),
-            ],
-            vec![
-                "DQ selectivity".into(),
-                format!("{:.3}%", diab.selectivity * 100.0),
-                format!("{:.3}%", syn.selectivity * 100.0),
-            ],
-            vec![
-                "distinct views".into(),
-                format!("{} (paper: 280)", diab_views.len()),
-                format!("{} (paper: 250)", syn_views.len()),
-            ],
-        ],
-    ));
-
-    // --- Table 2 ---
-    eprintln!("[2/10] Table 2: ideal utility functions");
-    md.push_str("\n## Table 2 — simulated ideal utility functions\n\n");
-    let rows: Vec<Vec<String>> = ideal_functions()
-        .iter()
-        .map(|f| vec![f.number.to_string(), f.utility.name().to_owned()])
-        .collect();
-    md.push_str(&markdown_table(&["#", "u*()"], &rows));
-
-    // --- Figures 3 & 4 ---
-    eprintln!("[3/10] Figure 3: user effort (DIAB)");
-    let fig3 = user_effort_experiment(&diab, &config, &PAPER_KS, 200).expect("fig3");
-    md.push_str("\n## Figure 3 — labels to 100% precision (DIAB)\n\n");
-    md.push_str(&effort_table(&fig3));
-
-    eprintln!("[4/10] Figure 4: user effort (SYN)");
-    let fig4 = user_effort_experiment(&syn, &config, &PAPER_KS, 200).expect("fig4");
-    md.push_str("\n## Figure 4 — labels to 100% precision (SYN)\n\n");
-    md.push_str(&effort_table(&fig4));
-
-    // --- Figure 5 ---
-    eprintln!("[5/10] Figure 5: baselines");
-    let fig5 = baseline_experiment(&diab, &config, 11, 10, 200).expect("fig5");
-    md.push_str("\n## Figure 5 — ViewSeeker vs fixed baselines (DIAB, u* #11)\n\n");
-    md.push_str(&baseline_table(&fig5));
-
-    // --- Figures 6 & 7 ---
-    eprintln!("[6/10] Figures 6-7: optimization evaluation");
-    let optimized = ViewSeekerConfig {
-        alpha: 0.10,
-        refine_budget: viewseeker_core::RefineBudget::Views((diab_views.len() / 10).max(1)),
-        ..config.clone()
-    };
-    let opt = optimization_experiment(&diab, &config, &optimized, 10, 200).expect("fig6/7");
-    md.push_str("\n## Figure 6 — labels to UD = 0, optimization off vs on\n\n");
-    md.push_str(&optimization_labels_table(&opt));
-    md.push_str("\n## Figure 7 — runtime to UD = 0, optimization off vs on\n\n");
-    md.push_str(&optimization_runtime_table(&opt));
-
-    // --- Ablations ---
-    eprintln!("[7/10] Ablation: query strategies");
-    let strategies = strategy_ablation(&diab, &config, 10, 200).expect("strategies");
-    md.push_str("\n## Ablation — query strategy\n\n");
-    md.push_str(&strategy_table(&strategies));
-
-    eprintln!("[8/10] Ablation: alpha sweep");
-    let alpha_cfg = ViewSeekerConfig {
-        refine_budget: viewseeker_core::RefineBudget::Views(25),
-        ..config.clone()
-    };
-    let alphas = alpha_sweep(
-        &diab,
-        &alpha_cfg,
-        &[0.01, 0.05, 0.10, 0.25, 0.50, 1.0],
-        10,
-        200,
-    )
-    .expect("alpha");
-    md.push_str("\n## Ablation — α sweep\n\n");
-    md.push_str(&alpha_table(&alphas));
-
-    eprintln!("[9/10] Ablation: batch size");
-    let batches = batch_size_sweep(&diab, &config, &[1, 2, 3, 5, 8], 10, 200).expect("batch");
-    md.push_str("\n## Ablation — batch size M\n\n");
-    md.push_str(&batch_table(&batches));
-
-    eprintln!("[9b/10] Ablation: label noise");
-    let noise = noise_sweep(&diab, &config, &[0.0, 0.05, 0.10, 0.20], 10, 60).expect("noise");
-    md.push_str("\n## Ablation — label-noise robustness\n\n");
-    md.push_str(&noise_table(&noise));
-
-    // --- write ---
-    eprintln!("[10/10] writing report");
-    let _ = writeln!(
-        md,
-        "\n_Total reproduction wall time: {:.2?}._",
-        started.elapsed()
-    );
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("results/REPRODUCTION.md"));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).expect("creating output directory");
-    }
-    std::fs::write(&path, &md).expect("writing report");
-    println!("{md}");
-    eprintln!(
-        "report written to {} in {:.2?}",
-        path.display(),
-        started.elapsed()
-    );
+    let report = reproduce(&BenchArgs::parse()).expect("reproduction run");
+    print!("{report}");
 }

@@ -8,6 +8,8 @@
 
 use std::time::Duration;
 
+use viewseeker_learn::{LogisticConfig, RidgeConfig};
+
 use crate::CoreError;
 
 /// How much incremental-refinement work may run between labeling prompts
@@ -59,9 +61,11 @@ pub struct ViewSeekerConfig {
     pub bin_configs: Vec<usize>,
     /// Feedback at or above this value counts as a positive label.
     pub positive_threshold: f64,
-    /// Ridge regularization of the view utility estimator.
+    /// Ridge regularization of the view utility estimator (default:
+    /// [`RidgeConfig`]'s).
     pub ridge_lambda: f64,
-    /// L2 regularization of the uncertainty estimator.
+    /// L2 regularization of the uncertainty estimator (default:
+    /// [`LogisticConfig`]'s).
     pub logistic_lambda: f64,
     /// Ideal on-screen bin count for the usability feature.
     pub usability_optimal_bins: f64,
@@ -92,8 +96,8 @@ impl Default for ViewSeekerConfig {
             views_per_iteration: 1,
             bin_configs: vec![3, 4],
             positive_threshold: 0.5,
-            ridge_lambda: 1e-4,
-            logistic_lambda: 1e-3,
+            ridge_lambda: RidgeConfig::default().lambda,
+            logistic_lambda: LogisticConfig::default().lambda,
             usability_optimal_bins: 8.0,
             alpha: 1.0,
             refine_budget: RefineBudget::Time(Duration::from_millis(200)),

@@ -230,6 +230,31 @@ mod tests {
     }
 
     #[test]
+    fn seed_7_known_answer() {
+        let t = generate_diab(&DiabConfig::small(2_000, 7)).unwrap();
+        let (q, sel) = hypercube_query(
+            &t,
+            &HypercubeConfig {
+                seed: 7,
+                ..HypercubeConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{q:?}"),
+            "SelectQuery { predicate: And([\
+             In { column: \"a0\", values: [\"a0_v1\"] }, \
+             In { column: \"a1\", values: [\"a1_v2\"] }, \
+             In { column: \"a2\", values: [\"a2_v3\", \"a2_v2\"] }, \
+             In { column: \"a4\", values: [\"a4_v2\"] }, \
+             In { column: \"a6\", values: [\"a6_v5\", \"a6_v6\", \"a6_v3\", \"a6_v7\", \"a6_v0\", \"a6_v2\"] }\
+             ]) }"
+        );
+        assert_eq!(sel, 0.0015);
+        assert_eq!(q.execute(&t).unwrap().len(), 3);
+    }
+
+    #[test]
     fn trivial_target_keeps_everything() {
         let t = generate_syn(&SynConfig::small(1000, 3)).unwrap();
         let (q, sel) = hypercube_query(

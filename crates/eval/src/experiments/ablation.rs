@@ -11,7 +11,6 @@
 
 use std::time::Duration;
 
-use serde::Serialize;
 use viewseeker_core::{CoreError, QueryStrategyKind, RefineBudget, ViewSeekerConfig};
 
 use crate::idealfn::ideal_functions;
@@ -23,7 +22,7 @@ use crate::simuser::SimulatedUser;
 use crate::testbed::Testbed;
 
 /// One strategy's averaged outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyPoint {
     /// Strategy name (`"uncertainty"`, `"random"`, `"qbc"`).
     pub strategy: String,
@@ -92,7 +91,7 @@ pub fn strategy_ablation(
 }
 
 /// One α value's averaged outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AlphaPoint {
     /// The partial-data ratio.
     pub alpha: f64,
@@ -175,7 +174,7 @@ pub fn alpha_sweep(
 }
 
 /// One batch-size's averaged outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchPoint {
     /// Views presented per iteration (the paper's `M`).
     pub views_per_iteration: usize,
@@ -244,7 +243,7 @@ pub fn batch_size_sweep(
 }
 
 /// One label-noise level's averaged outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NoisePoint {
     /// Standard deviation of the Gaussian label noise.
     pub sigma: f64,

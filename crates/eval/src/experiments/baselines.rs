@@ -9,7 +9,6 @@
 //! the DIAB dataset. ViewSeeker achieved a 3X improvement against the
 //! best-performing baseline."
 
-use serde::Serialize;
 use viewseeker_core::baseline::SingleFeatureRanker;
 use viewseeker_core::{tie_aware_precision_at_k, CoreError, ViewSeekerConfig};
 
@@ -19,7 +18,7 @@ use crate::simuser::SimulatedUser;
 use crate::testbed::Testbed;
 
 /// One baseline's fixed precision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaselinePrecision {
     /// The utility feature the baseline ranks by.
     pub feature: String,
@@ -28,7 +27,7 @@ pub struct BaselinePrecision {
 }
 
 /// The output of Experiment 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineComparison {
     /// The ideal function's 1-based Table 2 number.
     pub ideal_number: usize,

@@ -6,7 +6,6 @@
 //! recommended views" — for k ∈ {5, 10, 15, 20, 25, 30}, averaged within
 //! each ideal-function group (1–3, 4–6, 7–11).
 
-use serde::Serialize;
 use viewseeker_core::{CoreError, ViewSeekerConfig};
 
 use crate::idealfn::{functions_in_group, IdealGroup};
@@ -17,7 +16,7 @@ use crate::testbed::Testbed;
 pub const PAPER_KS: [usize; 6] = [5, 10, 15, 20, 25, 30];
 
 /// One point of Figure 3/4: a (group, k) cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EffortPoint {
     /// Ideal-function group (subfigure a/b/c).
     pub group: IdealGroup,

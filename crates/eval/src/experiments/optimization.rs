@@ -11,7 +11,6 @@
 
 use std::time::Duration;
 
-use serde::Serialize;
 use viewseeker_core::{CoreError, ViewSeekerConfig};
 
 use crate::idealfn::{functions_in_group, IdealGroup};
@@ -20,7 +19,7 @@ use crate::testbed::Testbed;
 
 /// One group's Figures 6+7 cell: labels and runtime to UD = 0 for both
 /// models.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizationPoint {
     /// Ideal-function group.
     pub group: IdealGroup,

@@ -6,12 +6,11 @@
 //! components in multi-component u*() carefully such that they represent
 //! different characteristics of the view."
 
-use serde::{Deserialize, Serialize};
 use viewseeker_core::{CompositeUtility, UtilityFeature};
 
 /// The experiment grouping of Table 2 / Figures 3–4: how many utility
 /// components an ideal function combines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IdealGroup {
     /// Functions 1–3: a single component.
     Single,

@@ -14,7 +14,7 @@
 //!   (baseline comparison, Figure 5), and the optimization evaluation
 //!   (Figures 6–7), plus the query-strategy and α-sweep ablations;
 //! * [`report`] — renders experiment output as markdown tables (the rows
-//!   behind each figure) and JSON.
+//!   behind each figure).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,11 @@
-//! Rendering experiment results as markdown tables and JSON.
+//! Rendering experiment results as markdown tables.
 //!
-//! Every figure-regeneration binary prints the rows behind the figure as a
-//! markdown table (the format EXPERIMENTS.md embeds) and can dump the same
-//! data as JSON for downstream plotting.
+//! `reproduce_all` prints the rows behind every table and figure with these
+//! renderers; its output is `results/REPRODUCTION.md`, which EXPERIMENTS.md
+//! quotes. Renderers of deterministic cells never print a duration, so the
+//! report's golden half stays byte-stable; timings have their own renderers.
 
 use std::time::Duration;
-
-use serde::Serialize;
 
 use crate::experiments::{
     AlphaPoint, BaselineComparison, BatchPoint, EffortPoint, NoisePoint, OptimizationPoint,
@@ -39,6 +38,11 @@ fn fmt_duration(d: Duration) -> String {
     } else {
         format!("{:.1}ms", d.as_secs_f64() * 1e3)
     }
+}
+
+fn mean(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len();
+    values.sum::<f64>() / n as f64
 }
 
 /// Figure 3/4 table: one row per k, one column per ideal-function group.
@@ -78,7 +82,11 @@ pub fn effort_table(points: &[EffortPoint]) -> String {
             "labels (3-component u*)",
         ],
         &rows,
-    ) + "(* = not all runs converged within the label budget)\n"
+    ) + &format!(
+        "(* = not all runs converged within the label budget)\n\
+         overall mean labels: {:.1} (paper: 7-16)\n",
+        mean(points.iter().map(|p| p.mean_labels))
+    )
 }
 
 /// Figure 5 table: ViewSeeker vs the 8 fixed baselines.
@@ -127,6 +135,9 @@ pub fn optimization_labels_table(points: &[OptimizationPoint]) -> String {
             "label overhead",
         ],
         &rows,
+    ) + &format!(
+        "mean label overhead of the optimized model: {:+.1}% (paper: +19%)\n",
+        mean(points.iter().map(OptimizationPoint::label_overhead)) * 100.0
     )
 }
 
@@ -152,6 +163,9 @@ pub fn optimization_runtime_table(points: &[OptimizationPoint]) -> String {
             "runtime reduction",
         ],
         &rows,
+    ) + &format!(
+        "mean runtime reduction of the optimized model: {:.1}% (paper: 43%)\n",
+        mean(points.iter().map(OptimizationPoint::runtime_reduction)) * 100.0
     )
 }
 
@@ -171,7 +185,7 @@ pub fn strategy_table(points: &[StrategyPoint]) -> String {
     markdown_table(&["query strategy", "mean labels", "converged"], &rows)
 }
 
-/// α-sweep table.
+/// α-sweep table: labels and convergence per α.
 #[must_use]
 pub fn alpha_table(points: &[AlphaPoint]) -> String {
     let rows: Vec<Vec<String>> = points
@@ -180,16 +194,27 @@ pub fn alpha_table(points: &[AlphaPoint]) -> String {
             vec![
                 format!("{:.0}%", p.alpha * 100.0),
                 format!("{:.1}", p.mean_labels),
-                fmt_duration(p.mean_init_time),
-                fmt_duration(p.mean_wall_time),
                 format!("{:.0}%", p.convergence_rate * 100.0),
             ]
         })
         .collect();
-    markdown_table(
-        &["α", "mean labels", "init time", "total time", "converged"],
-        &rows,
-    )
+    markdown_table(&["α", "mean labels", "converged"], &rows)
+}
+
+/// α-sweep timings: offline-initialization and total time per α.
+#[must_use]
+pub fn alpha_runtime_table(points: &[AlphaPoint]) -> String {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                format!("{:.0}%", p.alpha * 100.0),
+                fmt_duration(p.mean_init_time),
+                fmt_duration(p.mean_wall_time),
+            ]
+        })
+        .collect();
+    markdown_table(&["α", "init time", "total time"], &rows)
 }
 
 /// Batch-size (M) sweep table.
@@ -242,15 +267,6 @@ pub fn noise_table(points: &[NoisePoint]) -> String {
     )
 }
 
-/// Serializes any experiment output to pretty JSON.
-///
-/// # Errors
-///
-/// Propagates serialization failures (none for the types in this crate).
-pub fn to_json<T: Serialize>(value: &T) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,16 +305,5 @@ mod tests {
     fn durations_format_adaptively() {
         assert_eq!(fmt_duration(Duration::from_millis(25)), "25.0ms");
         assert_eq!(fmt_duration(Duration::from_secs(3)), "3.00s");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let p = StrategyPoint {
-            strategy: "uncertainty".into(),
-            mean_labels: 8.0,
-            convergence_rate: 1.0,
-        };
-        let j = to_json(&p).unwrap();
-        assert!(j.contains("\"uncertainty\""));
     }
 }

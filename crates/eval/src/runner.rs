@@ -11,7 +11,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
 use viewseeker_core::viewgen::materialize_all_fused;
 use viewseeker_core::ViewSpace;
 use viewseeker_core::{
@@ -54,7 +53,7 @@ impl Default for RunnerConfig {
 }
 
 /// The record of one simulated session.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// Labels spent before the stop criterion was met (= `max_labels` when
     /// it never was).

@@ -157,6 +157,44 @@ mod tests {
     }
 
     #[test]
+    fn noise_known_answers() {
+        // The Box-Muller draws for seed 5, σ = 0.3, and the clamped labels
+        // they produce over the exact scores 0, 0.25, 0.5, 0.75, 1.
+        let noisy = SimulatedUser::with_noise(
+            &CompositeUtility::single(UtilityFeature::Kl),
+            &truth(),
+            0.3,
+            5,
+        )
+        .unwrap();
+        assert_eq!(
+            noisy.noise.as_deref(),
+            Some(
+                &[
+                    -0.379_060_239_328_295_97,
+                    0.121_109_734_160_613_81,
+                    0.074_196_734_159_185_2,
+                    0.126_550_264_311_980_94,
+                    -0.313_256_889_341_790_63
+                ][..]
+            )
+        );
+        let labels: Vec<f64> = (0..5)
+            .map(|i| noisy.label(ViewId::from_index(i)).unwrap())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                0.0,
+                0.371_109_734_160_613_8,
+                0.574_196_734_159_185_2,
+                0.876_550_264_311_980_9,
+                0.686_743_110_658_209_4
+            ]
+        );
+    }
+
+    #[test]
     fn noisy_labels_are_clamped_deterministic_and_distinct() {
         let m = truth();
         let ideal = CompositeUtility::single(UtilityFeature::Kl);
