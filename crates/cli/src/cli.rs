@@ -14,7 +14,6 @@ USAGE:
                       [--save SESSION.json] [--resume SESSION.json]
   viewseeker simulate --data FILE.csv --query QUERY --ideal EXPR [--k N] [--max-labels N]
   viewseeker scatter  --data FILE.csv --query QUERY --ideal EXPR [--grid N] [--k N]
-  viewseeker query    --data FILE.csv --sql 'SELECT city, AVG(m_sales) FROM t GROUP BY city'
   viewseeker serve    [--addr HOST:PORT] [--workers N] [--max-sessions N] [--ttl SECS]
                       [--snapshot-dir DIR] [--data-dir DIR]
                       [--catalog-mem-budget BYTES[k|m|g]]
@@ -29,16 +28,15 @@ USAGE:
   viewseeker dataset list    --data-dir DIR
   viewseeker dataset inspect --data-dir DIR --name NAME
 
-QUERY mini-language (conjunction with '&'):
-  a0=a0_v0            equality          color in red|blue   membership
-  age:[20,65)         numeric range     *                   everything
-  SQL WHERE syntax also works: \"a0 = 'a0_v0' AND age BETWEEN 20 AND 65\"
+QUERY is a SQL WHERE clause; '*' (the default) selects everything:
+  \"a0 = 'a0_v0' AND n_age BETWEEN 20 AND 65\"    \"color IN ('red', 'blue')\"
 
 UTILITY expressions:  '0.5*EMD + 0.5*KL', 'Accuracy', ...
   features: KL, EMD, L1, L2, MAX_DIFF, Usability, Accuracy, p-value
 
-Schema convention for CSV files: columns named m_* are numeric measures,
-columns named n_* are numeric dimensions, everything else is a categorical
+Schema convention for CSV files, the same for --data, `dataset import` and
+what `generate` writes: columns named m_* are numeric measures, columns
+named n_* are numeric dimensions, everything else is a categorical
 dimension.";
 
 /// A parsed CLI invocation.
@@ -175,13 +173,6 @@ pub enum Command {
     Dataset(DatasetCmd),
     /// Inspect a running sharded/peered deployment.
     Cluster(ClusterCmd),
-    /// Execute an ad-hoc SQL query and print the result table.
-    Query {
-        /// CSV path.
-        data: String,
-        /// The SQL statement.
-        sql: String,
-    },
     /// Print usage.
     Help,
 }
@@ -343,10 +334,6 @@ impl Command {
                 format: flags.get("--format").unwrap_or_else(|| "summary".into()),
                 n: flags.get_parsed("--n")?.unwrap_or(0),
                 out: flags.get("--out"),
-            }),
-            "query" => Ok(Command::Query {
-                data: flags.require("--data")?,
-                sql: flags.require("--sql")?,
             }),
             "simulate" => Ok(Command::Simulate {
                 data: flags.require("--data")?,
@@ -513,7 +500,7 @@ mod tests {
 
     #[test]
     fn parses_explore_with_defaults() {
-        let c = parse(&["explore", "--data", "x.csv", "--query", "a0=v"]).unwrap();
+        let c = parse(&["explore", "--data", "x.csv", "--query", "a0 = 'v'"]).unwrap();
         match c {
             Command::Explore {
                 k,
@@ -817,6 +804,10 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["bogus"]).is_err());
+        assert_eq!(
+            parse(&["query", "--data", "x.csv", "--sql", "SELECT 1"]),
+            Err("unknown subcommand \"query\"".into())
+        );
         assert!(parse(&["generate", "--dataset"]).is_err());
         assert!(parse(&["generate", "positional"]).is_err());
         assert!(

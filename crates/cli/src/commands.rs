@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 
 use viewseeker_core::persist::SessionSnapshot;
 use viewseeker_core::scatter::{materialize_scatter, scatter_feature_matrix, ScatterSpace};
@@ -9,16 +9,17 @@ use viewseeker_core::viewgen::{bin_spec_for, materialize_view};
 use viewseeker_core::{
     tie_aware_precision_at_k, FeedbackSession, UtilityFeature, ViewId, ViewSeeker, ViewSeekerConfig,
 };
-use viewseeker_dataset::csv::{read_csv, write_csv};
+use viewseeker_dataset::csv::{infer_schema, read_csv, write_csv};
 use viewseeker_dataset::generate::{generate_diab, generate_syn, DiabConfig, SynConfig};
 use viewseeker_dataset::schema::{AttributeRole, ColumnMeta, ColumnType};
+use viewseeker_dataset::sql::parse_where;
 use viewseeker_dataset::{Schema, SelectQuery, Table};
 use viewseeker_eval::runner::{exact_feature_matrix, run_session, RunnerConfig, StopCriterion};
 use viewseeker_eval::SimulatedUser;
 
 use crate::chart::{render_density_grid, render_ranking, render_view};
 use crate::cli::{ClusterCmd, Command, DatasetCmd, USAGE};
-use crate::parse::{parse_query, parse_utility};
+use crate::parse::parse_utility;
 
 /// Executes a parsed command.
 ///
@@ -56,7 +57,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             save,
             resume,
         } => explore(&data, &query, k, alpha, exclude, &bins, save, resume),
-        Command::Query { data, sql } => sql_query(&data, &sql),
         Command::Serve {
             addr,
             workers,
@@ -471,6 +471,7 @@ fn generate(dataset: &str, rows: Option<usize>, seed: u64, out: &str) -> Result<
             .map_err(|e| e.to_string())?,
         other => return Err(format!("unknown dataset {other:?} (expected diab or syn)")),
     };
+    let table = catalog_named(&table)?;
     let file = File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
     write_csv(&table, std::io::BufWriter::new(file)).map_err(|e| e.to_string())?;
     println!(
@@ -481,78 +482,40 @@ fn generate(dataset: &str, rows: Option<usize>, seed: u64, out: &str) -> Result<
     Ok(())
 }
 
-/// Loads a CSV, inferring the schema by name convention + value sniffing:
-/// measure columns are named `m_*` or `m<digits>`; any other column whose
-/// sampled values all parse as numbers becomes a numeric dimension; the rest
-/// are categorical dimensions.
-pub fn load_table(path: &str) -> Result<Table, String> {
-    let file = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let mut reader = BufReader::new(file);
-
-    let mut header_line = String::new();
-    reader
-        .read_line(&mut header_line)
-        .map_err(|e| e.to_string())?;
-    let header: Vec<String> = header_line
-        .trim_end()
-        .split(',')
-        .map(|h| h.trim_matches('"').to_owned())
-        .collect();
-
-    // Sniff up to 64 data rows for numeric-ness per column.
-    let mut numeric = vec![true; header.len()];
-    let mut sampled = 0;
-    for line in reader.lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        for (i, field) in line.split(',').enumerate() {
-            if i < numeric.len() && field.trim_matches('"').parse::<f64>().is_err() {
-                numeric[i] = false;
-            }
-        }
-        sampled += 1;
-        if sampled >= 64 {
-            break;
-        }
-    }
-
-    let schema = infer_schema(&header, &numeric)?;
-    let file = File::open(path).map_err(|e| format!("reopening {path}: {e}"))?;
-    read_csv(&schema, BufReader::new(file)).map_err(|e| e.to_string())
+/// `table` under the header convention CSVs are read back with: measures
+/// `m3` → `m_3`, numeric dimensions `d0` → `n_d0`, categorical dimensions
+/// unchanged.
+fn catalog_named(table: &Table) -> Result<Table, String> {
+    let metas = table.schema().columns().iter().map(|c| ColumnMeta {
+        name: match (c.role, c.column_type) {
+            (AttributeRole::Measure, _) => format!("m_{}", c.name.trim_start_matches('m')),
+            (_, ColumnType::Numeric) => format!("n_{}", c.name),
+            (_, ColumnType::Categorical) => c.name.clone(),
+        },
+        ..c.clone()
+    });
+    let schema = Schema::new(metas.collect()).map_err(|e| e.to_string())?;
+    let columns = (0..schema.len()).map(|i| table.column(i).clone()).collect();
+    Table::new(schema, columns).map_err(|e| e.to_string())
 }
 
-/// Builds a schema from header names and per-column numeric-ness.
-fn infer_schema(header: &[String], numeric: &[bool]) -> Result<Schema, String> {
-    let metas = header
-        .iter()
-        .zip(numeric)
-        .map(|(name, &is_numeric)| {
-            let is_measure = name.starts_with("m_")
-                || (name.starts_with('m') && name[1..].chars().all(|c| c.is_ascii_digit()))
-                    && !name[1..].is_empty();
-            let (column_type, role) = if is_measure && is_numeric {
-                (ColumnType::Numeric, AttributeRole::Measure)
-            } else if is_numeric {
-                (ColumnType::Numeric, AttributeRole::Dimension)
-            } else {
-                (ColumnType::Categorical, AttributeRole::Dimension)
-            };
-            ColumnMeta {
-                name: name.clone(),
-                column_type,
-                role,
-            }
-        })
-        .collect();
-    Schema::new(metas).map_err(|e| e.to_string())
+/// Reads the CSV at `path` the way `Catalog::import_csv_bytes` does (the
+/// schema from the header convention, then the rows) and compiles `query`,
+/// a SQL WHERE clause.
+fn load(path: &str, query: &str) -> Result<(Table, SelectQuery), String> {
+    let open = || {
+        std::fs::File::open(path)
+            .map(std::io::BufReader::new)
+            .map_err(|e| format!("reading {path}: {e}"))
+    };
+    let schema = infer_schema(open()?).map_err(|e| e.to_string())?;
+    let table = read_csv(&schema, open()?).map_err(|e| e.to_string())?;
+    let predicate = parse_where(query).map_err(|e| format!("bad query {query:?}: {e}"))?;
+    Ok((table, SelectQuery::new(predicate)))
 }
 
 fn views(data: &str, query: &str, bins: &[usize]) -> Result<(), String> {
-    let table = load_table(data)?;
-    let predicate = parse_query(query)?;
-    let q = SelectQuery::new(predicate);
+    let (table, q) = load(data, query)?;
     let dq = q.execute(&table).map_err(|e| e.to_string())?;
     let space = viewseeker_core::ViewSpace::enumerate(&table, bins).map_err(|e| e.to_string())?;
     println!(
@@ -580,8 +543,7 @@ fn rank(
     bins: &[usize],
     diverse: Option<f64>,
 ) -> Result<(), String> {
-    let table = load_table(data)?;
-    let q = SelectQuery::new(parse_query(query)?);
+    let (table, q) = load(data, query)?;
     let composite = parse_utility(utility)?;
     let config = ViewSeekerConfig {
         bin_configs: bins.to_vec(),
@@ -672,8 +634,7 @@ fn explore(
     save: Option<String>,
     resume: Option<String>,
 ) -> Result<(), String> {
-    let table = load_table(data)?;
-    let q = SelectQuery::new(parse_query(query)?);
+    let (table, q) = load(data, query)?;
     let config = ViewSeekerConfig {
         bin_configs: bins.to_vec(),
         alpha,
@@ -814,8 +775,7 @@ fn simulate(
     max_labels: usize,
     bins: &[usize],
 ) -> Result<(), String> {
-    let table = load_table(data)?;
-    let q = SelectQuery::new(parse_query(query)?);
+    let (table, q) = load(data, query)?;
     let composite = parse_utility(ideal)?;
     let config = ViewSeekerConfig {
         bin_configs: bins.to_vec(),
@@ -884,15 +844,6 @@ fn simulate(
     Ok(())
 }
 
-/// Ad-hoc SQL against a CSV.
-fn sql_query(data: &str, sql: &str) -> Result<(), String> {
-    let table = load_table(data)?;
-    let result = viewseeker_dataset::sql::execute(sql, &table).map_err(|e| e.to_string())?;
-    print!("{}", result.to_text_table());
-    println!("({} rows)", result.rows.len());
-    Ok(())
-}
-
 /// Simulated session over scatter-plot views.
 fn scatter(
     data: &str,
@@ -902,8 +853,7 @@ fn scatter(
     k: usize,
     max_labels: usize,
 ) -> Result<(), String> {
-    let table = load_table(data)?;
-    let q = SelectQuery::new(parse_query(query)?);
+    let (table, q) = load(data, query)?;
     let composite = parse_utility(ideal)?;
     let dq = q.execute(&table).map_err(|e| e.to_string())?;
     let space = ScatterSpace::enumerate(&table, grid).map_err(|e| e.to_string())?;
@@ -982,59 +932,38 @@ mod tests {
         assert!(parse_rating("meh").is_err());
     }
 
-    #[test]
-    fn schema_inference_convention() {
-        let header: Vec<String> = ["region", "n_age", "m_sales", "m0"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let numeric = vec![false, true, true, true];
-        let schema = infer_schema(&header, &numeric).unwrap();
-        assert_eq!(schema.dimension_names(), vec!["region", "n_age"]);
-        assert_eq!(schema.measure_names(), vec!["m_sales", "m0"]);
-        assert_eq!(
-            schema.column("n_age").unwrap().column_type,
-            ColumnType::Numeric
-        );
-        assert_eq!(
-            schema.column("region").unwrap().column_type,
-            ColumnType::Categorical
-        );
-    }
-
-    #[test]
-    fn measure_named_column_with_text_values_degrades_to_categorical() {
-        let header: Vec<String> = ["m_notes"].iter().map(|s| (*s).to_owned()).collect();
-        let schema = infer_schema(&header, &[false]).unwrap();
-        assert_eq!(schema.measure_names().len(), 0);
-        assert_eq!(schema.dimension_names(), vec!["m_notes"]);
+    /// Generates `dataset` into a file, loads it as the CLI does, and
+    /// checks the catalog infers the same schema from the same bytes.
+    fn load_generated(dataset: &str, rows: usize) -> Table {
+        let name = format!("viewseeker_cli_{dataset}_{}.csv", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let path_str = path.to_str().unwrap();
+        generate(dataset, Some(rows), 3, path_str).unwrap();
+        let (table, _) = load(path_str, "*").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let catalog = viewseeker_catalog::Catalog::in_memory(64 << 20);
+        let entry = catalog.import_csv_bytes("t", &bytes).unwrap();
+        assert_eq!(table.schema(), entry.table.schema());
+        assert_eq!(table.row_count(), entry.table.row_count());
+        table
     }
 
     #[test]
     fn generate_then_load_round_trip() {
-        let dir = std::env::temp_dir().join("viewseeker_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        let path_str = path.to_str().unwrap().to_owned();
-        generate("diab", Some(300), 3, &path_str).unwrap();
-        let table = load_table(&path_str).unwrap();
+        let table = load_generated("diab", 300);
         assert_eq!(table.row_count(), 300);
         assert_eq!(table.measure_names().len(), 8);
         assert_eq!(table.dimension_names().len(), 7);
-        std::fs::remove_file(path).ok();
+        assert_eq!(table.measure_names()[0], "m_0");
     }
 
     #[test]
     fn syn_load_infers_numeric_dimensions() {
-        let dir = std::env::temp_dir().join("viewseeker_cli_test_syn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.csv");
-        let path_str = path.to_str().unwrap().to_owned();
-        generate("syn", Some(200), 4, &path_str).unwrap();
-        let table = load_table(&path_str).unwrap();
-        assert_eq!(table.dimension_names(), vec!["d0", "d1", "d2", "d3", "d4"]);
-        assert!(!table.column_by_name("d0").unwrap().is_categorical());
-        std::fs::remove_file(path).ok();
+        let table = load_generated("syn", 200);
+        let dims = ["n_d0", "n_d1", "n_d2", "n_d3", "n_d4"];
+        assert_eq!(table.dimension_names(), dims);
+        assert!(!table.column_by_name("n_d0").unwrap().is_categorical());
     }
 
     #[test]

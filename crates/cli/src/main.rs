@@ -2,11 +2,15 @@
 //!
 //! ```text
 //! viewseeker generate --dataset diab --rows 20000 --out patients.csv
-//! viewseeker views    --data patients.csv --query "a0=a0_v0"
-//! viewseeker rank     --data patients.csv --query "a0=a0_v0" --utility "0.5*EMD + 0.5*KL" --k 10
-//! viewseeker explore  --data patients.csv --query "a0=a0_v0" --k 5
-//! viewseeker simulate --data patients.csv --query "a0=a0_v0" --ideal "0.3*EMD + 0.3*KL + 0.4*Accuracy"
+//! viewseeker views    --data patients.csv --query "a0 = 'a0_v0'"
+//! viewseeker rank     --data patients.csv --query "a0 = 'a0_v0'" --utility "0.5*EMD + 0.5*KL" --k 10
+//! viewseeker explore  --data patients.csv --query "a0 = 'a0_v0'" --k 5
+//! viewseeker simulate --data patients.csv --query "a0 = 'a0_v0'" --ideal "0.3*EMD + 0.3*KL + 0.4*Accuracy"
 //! ```
+//!
+//! `--query` is a SQL WHERE clause (`dataset::sql::parse_where`) and
+//! `--data` is read with the catalog's schema rule (`dataset::csv`), so the
+//! CLI and the server agree on both.
 //!
 //! `explore` runs the paper's interactive loop against a human: each
 //! iteration renders the selected view as an ASCII target-vs-reference bar

@@ -1,16 +1,4 @@
-//! Mini-languages for the CLI: query predicates and utility expressions.
-//!
-//! Queries (conjunction with `&`):
-//!
-//! ```text
-//! a0=a0_v0                         equality on a categorical column
-//! color in red|blue                membership
-//! age:[20,65)                      numeric half-open range ([lo,) is open-ended)
-//! a0=a0_v0 & age:[20,65)           conjunction
-//! *                                select everything
-//! ```
-//!
-//! Utility expressions (weighted sums over the 8 features):
+//! Utility expressions for the CLI: weighted sums over the 8 features.
 //!
 //! ```text
 //! EMD
@@ -19,86 +7,6 @@
 //! ```
 
 use viewseeker_core::{CompositeUtility, UtilityFeature};
-use viewseeker_dataset::Predicate;
-
-/// Parses the CLI query mini-language into a [`Predicate`].
-///
-/// # Errors
-///
-/// Returns a human-readable message for malformed input.
-pub fn parse_query(input: &str) -> Result<Predicate, String> {
-    let input = input.trim();
-    if input.is_empty() || input == "*" {
-        return Ok(Predicate::True);
-    }
-    // SQL WHERE syntax is tried first (its literals are unambiguous thanks
-    // to quoting); the terser mini-language is the fallback.
-    let sql = viewseeker_dataset::sql::parse_where(input);
-    if let Ok(p) = sql {
-        return Ok(p);
-    }
-    let mini = (|| {
-        let conjuncts = input
-            .split('&')
-            .map(|term| parse_term(term.trim()))
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok::<Predicate, String>(if conjuncts.len() == 1 {
-            conjuncts.into_iter().next().expect("len checked")
-        } else {
-            Predicate::And(conjuncts)
-        })
-    })();
-    mini.map_err(|mini_err| {
-        let sql_err = sql.expect_err("checked above");
-        format!("not a valid query (mini-language: {mini_err}; SQL: {sql_err})")
-    })
-}
-
-fn parse_term(term: &str) -> Result<Predicate, String> {
-    if term.is_empty() {
-        return Err("empty query term".into());
-    }
-    // column in v1|v2|v3
-    if let Some((column, values)) = term.split_once(" in ") {
-        let values: Vec<String> = values
-            .split('|')
-            .map(|v| v.trim().to_owned())
-            .filter(|v| !v.is_empty())
-            .collect();
-        if values.is_empty() {
-            return Err(format!("no values in membership term {term:?}"));
-        }
-        return Ok(Predicate::is_in(column.trim(), values));
-    }
-    // column:[lo,hi)  — numeric range
-    if let Some((column, range)) = term.split_once(":[") {
-        let range = range
-            .strip_suffix(')')
-            .ok_or_else(|| format!("range {term:?} must end with ')'"))?;
-        let (lo, hi) = range
-            .split_once(',')
-            .ok_or_else(|| format!("range {term:?} needs 'lo,hi'"))?;
-        let lo: f64 = lo
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad lower bound in {term:?}"))?;
-        let hi: f64 = if hi.trim().is_empty() {
-            f64::INFINITY
-        } else {
-            hi.trim()
-                .parse()
-                .map_err(|_| format!("bad upper bound in {term:?}"))?
-        };
-        return Ok(Predicate::range(column.trim(), lo, hi));
-    }
-    // column=value
-    if let Some((column, value)) = term.split_once('=') {
-        return Ok(Predicate::eq(column.trim(), value.trim()));
-    }
-    Err(format!(
-        "cannot parse query term {term:?} (expected col=value, col in a|b, or col:[lo,hi))"
-    ))
-}
 
 /// Parses a feature name, case-insensitively, accepting the paper's spellings.
 ///
@@ -151,71 +59,6 @@ pub fn parse_utility(input: &str) -> Result<CompositeUtility, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_star_and_empty_as_true() {
-        assert_eq!(parse_query("*").unwrap(), Predicate::True);
-        assert_eq!(parse_query("  ").unwrap(), Predicate::True);
-    }
-
-    #[test]
-    fn parses_equality() {
-        assert_eq!(
-            parse_query("a0=a0_v1").unwrap(),
-            Predicate::eq("a0", "a0_v1")
-        );
-        // whitespace tolerated
-        assert_eq!(
-            parse_query(" color = red ").unwrap(),
-            Predicate::eq("color", "red")
-        );
-    }
-
-    #[test]
-    fn parses_membership() {
-        assert_eq!(
-            parse_query("color in red|blue").unwrap(),
-            Predicate::is_in("color", vec!["red".into(), "blue".into()])
-        );
-        assert!(parse_query("color in ").is_err());
-    }
-
-    #[test]
-    fn parses_ranges() {
-        assert_eq!(
-            parse_query("age:[20,65)").unwrap(),
-            Predicate::range("age", 20.0, 65.0)
-        );
-        assert_eq!(
-            parse_query("age:[20,)").unwrap(),
-            Predicate::range("age", 20.0, f64::INFINITY)
-        );
-        assert!(parse_query("age:[20,65]").is_err());
-        assert!(parse_query("age:[x,65)").is_err());
-    }
-
-    #[test]
-    fn parses_conjunction() {
-        let p = parse_query("a0=v & age:[0,10)").unwrap();
-        match p {
-            Predicate::And(terms) => assert_eq!(terms.len(), 2),
-            other => panic!("expected And, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse_query("what is this").is_err());
-    }
-
-    #[test]
-    fn sql_where_fallback() {
-        // Not mini-language (quotes, >=) -- parsed as SQL WHERE.
-        let p = parse_query("color = 'red' AND age >= 20").unwrap();
-        assert!(matches!(p, Predicate::And(_)));
-        let single = parse_query("color = 'red'").unwrap();
-        assert_eq!(single, Predicate::eq("color", "red"));
-    }
 
     #[test]
     fn parses_feature_names() {

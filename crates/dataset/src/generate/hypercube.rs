@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::column::Column;
-use crate::predicate::Predicate;
+use crate::predicate::{next_up, Predicate};
 use crate::query::SelectQuery;
 use crate::schema::AttributeRole;
 use crate::table::Table;
@@ -168,17 +168,6 @@ fn build_query(sides: &[(String, Side)]) -> SelectQuery {
     SelectQuery::new(Predicate::And(conjuncts))
 }
 
-/// Smallest f64 strictly greater than `x` (so ranges include the max value).
-fn next_up(x: f64) -> f64 {
-    if x == f64::INFINITY {
-        x
-    } else {
-        let bits = x.to_bits();
-        let next = if x >= 0.0 { bits + 1 } else { bits - 1 };
-        f64::from_bits(next)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +281,7 @@ mod tests {
 
     #[test]
     fn next_up_is_strictly_greater() {
-        for x in [0.0, 1.0, -1.0, 1e300] {
+        for x in [0.0, -0.0, 1.0, -1.0, 1e300, -f64::MAX] {
             assert!(next_up(x) > x);
         }
         assert_eq!(next_up(f64::INFINITY), f64::INFINITY);

@@ -159,6 +159,22 @@ impl Predicate {
     }
 }
 
+/// Smallest f64 strictly greater than `x`: the exclusive upper bound of a
+/// [`Predicate::Range`] that must include `x`. Both zeros map to the
+/// smallest positive subnormal; stepping the bits of `-0.0` would give
+/// `-5e-324`, a bound below zero.
+pub(crate) fn next_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else if x == f64::INFINITY {
+        x
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
 fn eval_membership(table: &Table, column: &str, values: &[String]) -> Result<RowSet, DatasetError> {
     let col = table.column_by_name(column)?;
     let (codes, dictionary) = match (col.codes(), col.dictionary()) {

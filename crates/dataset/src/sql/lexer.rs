@@ -1,10 +1,10 @@
-//! SQL tokenizer.
+//! SQL WHERE-clause tokenizer.
 
 use crate::DatasetError;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(super) enum Token {
     /// Keyword or identifier (case preserved; keyword matching is
     /// case-insensitive in the parser).
     Ident(String),
@@ -18,8 +18,6 @@ pub enum Token {
     RParen,
     /// `,`
     Comma,
-    /// `*`
-    Star,
     /// `=`
     Eq,
     /// `!=` or `<>`
@@ -43,7 +41,6 @@ impl std::fmt::Display for Token {
             Token::LParen => f.write_str("("),
             Token::RParen => f.write_str(")"),
             Token::Comma => f.write_str(","),
-            Token::Star => f.write_str("*"),
             Token::Eq => f.write_str("="),
             Token::NotEq => f.write_str("!="),
             Token::Lt => f.write_str("<"),
@@ -60,7 +57,7 @@ impl std::fmt::Display for Token {
 ///
 /// Returns [`DatasetError::Sql`] for unterminated strings, malformed
 /// numbers, or unexpected characters.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, DatasetError> {
+pub(super) fn tokenize(input: &str) -> Result<Vec<Token>, DatasetError> {
     let mut tokens = Vec::new();
     let mut chars = input.chars().peekable();
     while let Some(&c) = chars.peek() {
@@ -79,10 +76,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, DatasetError> {
             ',' => {
                 chars.next();
                 tokens.push(Token::Comma);
-            }
-            '*' => {
-                chars.next();
-                tokens.push(Token::Star);
             }
             '=' => {
                 chars.next();
@@ -194,13 +187,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tokenizes_a_full_select() {
-        let toks = tokenize("SELECT a, AVG(m) FROM t WHERE x >= 1.5 GROUP BY a").unwrap();
-        assert_eq!(toks[0], Token::Ident("SELECT".into()));
-        assert!(toks.contains(&Token::LParen));
-        assert!(toks.contains(&Token::GtEq));
-        assert!(toks.contains(&Token::Number(1.5)));
-        assert_eq!(toks.last(), Some(&Token::Ident("a".into())));
+    fn tokenizes_a_full_where_clause() {
+        let toks = tokenize("a IN ('x', 2) AND NOT (y >= 1.5)").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Ident("a".into()),
+                Token::Ident("IN".into()),
+                Token::LParen,
+                Token::String("x".into()),
+                Token::Comma,
+                Token::Number(2.0),
+                Token::RParen,
+                Token::Ident("AND".into()),
+                Token::Ident("NOT".into()),
+                Token::LParen,
+                Token::Ident("y".into()),
+                Token::GtEq,
+                Token::Number(1.5),
+                Token::RParen,
+            ]
+        );
+        assert!(tokenize("SELECT * FROM t").is_err(), "'*' is not a token");
     }
 
     #[test]

@@ -1,72 +1,57 @@
-//! A small SQL layer over the columnar engine.
+//! SQL WHERE clauses as the way to say which rows `DQ` holds.
 //!
-//! The paper describes both views and the exploration subset in SQL terms:
-//! "a view vᵢ essentially represents an SQL query with a group-by clause
-//! over a database D", and "DQ can be specified by any data specification
-//! method such as an SQL/NoSQL query over DR". This module makes those
-//! sentences literal:
+//! The paper lets "DQ be specified by any data specification method such
+//! as an SQL/NoSQL query over DR". This module takes that literally: one
+//! WHERE clause, parsed straight into the engine's [`Predicate`], which the
+//! server's session `query` field and every CLI `--query` flag use.
 //!
 //! ```
 //! use viewseeker_dataset::generate::{generate_diab, DiabConfig};
-//! use viewseeker_dataset::sql::execute;
+//! use viewseeker_dataset::sql::parse_where;
 //!
 //! let table = generate_diab(&DiabConfig::small(1_000, 1)).unwrap();
-//! let result = execute(
-//!     "SELECT a0, AVG(m0) FROM diab WHERE a1 = 'a1_v0' GROUP BY a0",
-//!     &table,
-//! )
-//! .unwrap();
-//! assert_eq!(result.columns, vec!["a0", "AVG(m0)"]);
+//! let dq = parse_where("a1 = 'a1_v0' AND m0 > 0").unwrap();
+//! assert!(dq.evaluate(&table).unwrap().len() < table.row_count());
 //! ```
 //!
-//! Supported surface (deliberately the fragment view recommendation needs):
+//! Supported surface:
 //!
-//! ```sql
-//! SELECT <projection, ...> FROM <name>
-//!   [WHERE <predicate>] [GROUP BY <column>]
-//!   [ORDER BY <output column> [ASC|DESC]] [LIMIT <n>]
-//! ```
-//!
-//! * projections: `*`, column names, `COUNT(*)`, and `f(measure)` for the
-//!   five aggregate functions;
-//! * predicates: `=`, `!=`/`<>`, `<`, `<=`, `>`, `>=`, `IN (…)`,
-//!   `BETWEEN a AND b`, combined with `AND`, `OR`, `NOT`, parentheses;
-//! * string literals in single quotes; numbers as literals;
-//! * `GROUP BY` over one categorical dimension.
-//!
-//! The `FROM` name is informational (a table is passed in explicitly).
+//! * `=`, `!=`/`<>`, `<`, `<=`, `>`, `>=`, `IN (…)`, `[NOT] BETWEEN a AND b`,
+//!   combined with `AND`, `OR`, `NOT` and parentheses. Each `AND`, `OR`,
+//!   `NOT` and `(` nests the predicate one level, and 128 levels is the
+//!   limit, so a chain of more than 128 `AND`s is too deep as well;
+//! * string literals in single quotes (`''` escapes a quote), numbers as
+//!   literals; strings compare only with `=`, `!=` and `IN`;
+//! * keywords in any case;
+//! * `""` and `"*"` select every row.
 
-mod ast;
-mod exec;
 mod lexer;
 mod parser;
-
-pub use ast::{Aggregate, Comparison, Projection, SelectStatement, SortOrder, SqlExpr, SqlValue};
-pub use exec::{execute, execute_statement, ResultSet, ResultValue};
-pub use lexer::{tokenize, Token};
-pub use parser::parse_select;
 
 use crate::predicate::Predicate;
 use crate::DatasetError;
 
-/// Parses just a WHERE-style predicate expression (no `SELECT` framing) into
-/// the engine's [`Predicate`] AST — the convenient path for specifying `DQ`.
+/// Parses a WHERE clause (without the `WHERE` keyword) into the engine's
+/// [`Predicate`] AST. An empty clause or `*` is [`Predicate::True`].
 ///
 /// ```
 /// use viewseeker_dataset::sql::parse_where;
+/// use viewseeker_dataset::Predicate;
 ///
 /// let p = parse_where("a0 = 'x' AND m0 BETWEEN 10 AND 20").unwrap();
-/// // p is a regular engine predicate, usable in a SelectQuery.
-/// # let _ = p;
+/// assert!(matches!(p, Predicate::And(_)));
+/// assert_eq!(parse_where("*").unwrap(), Predicate::True);
 /// ```
 ///
 /// # Errors
 ///
-/// Returns [`DatasetError::Sql`] for syntax errors.
+/// Returns [`DatasetError::Sql`] for syntax errors, an ordered comparison
+/// against a string, an `IN` list that mixes strings and numbers, and
+/// nesting deeper than 128 levels.
 pub fn parse_where(input: &str) -> Result<Predicate, DatasetError> {
-    let tokens = tokenize(input)?;
-    let mut parser = parser::Parser::new(tokens);
-    let expr = parser.parse_expr()?;
-    parser.expect_end()?;
-    exec::compile_predicate(&expr)
+    let input = input.trim();
+    if input.is_empty() || input == "*" {
+        return Ok(Predicate::True);
+    }
+    parser::parse(input)
 }

@@ -26,7 +26,7 @@ use viewseeker_catalog::{Catalog, CatalogError, DatasetEntry};
 use viewseeker_core::persist::SessionSnapshot;
 use viewseeker_core::trace::{Recorder, Tracer};
 use viewseeker_core::{OwnedSeeker, Seeker, ViewSeekerConfig};
-use viewseeker_dataset::{Predicate, SelectQuery};
+use viewseeker_dataset::SelectQuery;
 
 use crate::error::ServerError;
 use crate::log::{n, s, Logger};
@@ -114,16 +114,14 @@ impl SessionSpec {
         }
     }
 
-    /// Parses the spec's query string.
+    /// Parses the spec's query string, a SQL WHERE clause (absent, empty
+    /// or `*` selects every row).
     ///
     /// # Errors
     ///
     /// [`ServerError::BadRequest`] for unparseable SQL.
     pub fn build_query(&self) -> Result<SelectQuery, ServerError> {
         let raw = self.query.as_deref().unwrap_or("*").trim();
-        if raw.is_empty() || raw == "*" {
-            return Ok(SelectQuery::new(Predicate::True));
-        }
         let predicate = viewseeker_dataset::sql::parse_where(raw)
             .map_err(|e| ServerError::BadRequest(format!("bad query {raw:?}: {e}")))?;
         Ok(SelectQuery::new(predicate))

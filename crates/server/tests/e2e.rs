@@ -325,6 +325,35 @@ fn eviction_over_http_is_restorable_with_identical_weights() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Bodies nested 10 000 deep — a query of 10 000 `NOT`s, a JSON document
+/// of 10 000 arrays — are `400`s, and the same server process answers
+/// the next request. Unbounded recursive descent overflows a worker's
+/// stack on either and aborts the process.
+#[test]
+fn deeply_nested_bodies_are_400s_and_the_server_survives() {
+    let handle = serve_app(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        log_level: LogLevel::Off,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = handle.addr();
+    let query = format!(
+        "{{\"dataset\": \"diab\", \"rows\": 200, \"query\": \"{}a0 = 'a0_v0'\"}}",
+        "NOT ".repeat(10_000)
+    );
+    let arrays = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    for body in [query, arrays] {
+        let (status, reply) = call(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("deeper than 128"), "{reply}");
+    }
+    let (status, body) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
 /// `Connection: close` is honored on error responses too: the header is
 /// echoed and the socket ends, so a client reading to EOF returns.
 #[test]

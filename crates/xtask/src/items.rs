@@ -606,8 +606,8 @@ mod tests {
             "dataset::sql"
         );
         assert_eq!(
-            module_of_path("crates/dataset/src/sql/exec.rs"),
-            "dataset::sql::exec"
+            module_of_path("crates/dataset/src/sql/parser.rs"),
+            "dataset::sql::parser"
         );
         assert_eq!(module_of_path("src/lib.rs"), "viewseeker");
     }

@@ -1,7 +1,8 @@
 //! Rule `no-panic`: request-path code in `crates/server`, reactor/parser
-//! code in `crates/net`, ring/forwarding code in `crates/cluster`, and
-//! cache-path
-//! code in `crates/catalog` must not contain a reachable panic — no
+//! code in `crates/net`, ring/forwarding code in `crates/cluster`,
+//! cache-path code in `crates/catalog`, and the SQL WHERE parser in
+//! `crates/dataset/src/sql` (a session's `query` field reaches it) must
+//! not contain a reachable panic — no
 //! `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`,
 //! `unimplemented!`, and no `x[i]` indexing (which panics out of
 //! bounds). A panicked worker thread reachable from untrusted HTTP input
@@ -25,6 +26,7 @@ pub(crate) const SCOPE: &[&str] = &[
     "crates/catalog/src/",
     "crates/net/src/",
     "crates/cluster/src/",
+    "crates/dataset/src/sql/",
 ];
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
