@@ -1,6 +1,8 @@
 //! Command-line parsing for the `viewseeker` binary.
 
-use viewseeker_server::{LogFormat, LogLevel};
+use std::cell::RefCell;
+
+use viewseeker_server::ServerConfig;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -20,8 +22,6 @@ USAGE:
                       [--log-format text|json]
                       [--log-level debug|info|warn|error|off]
                       [--max-inflight N] [--queue-deadline-ms MS]
-                      [--shards N] [--peer HOST:PORT]...
-  viewseeker cluster status --addr HOST:PORT
   viewseeker trace    --addr HOST:PORT [--format summary|chrome|folded] [--n N] [--out FILE]
   viewseeker dataset import  --data-dir DIR --csv FILE.csv [--name NAME]
   viewseeker dataset append  --data-dir DIR --name NAME --csv FILE.csv
@@ -128,34 +128,7 @@ pub enum Command {
         max_labels: usize,
     },
     /// Run the multi-session HTTP recommendation service.
-    Serve {
-        /// Bind address (`host:port`; port 0 picks a free port).
-        addr: String,
-        /// Worker pool size.
-        workers: usize,
-        /// Max live sessions before LRU eviction.
-        max_sessions: usize,
-        /// Idle seconds after which a session is evictable.
-        ttl_secs: u64,
-        /// Directory for eviction/snapshot persistence.
-        snapshot_dir: Option<String>,
-        /// Dataset catalog directory (imported CSVs persist here).
-        data_dir: Option<String>,
-        /// Byte budget for the catalog's in-memory table cache.
-        catalog_mem_budget: u64,
-        /// Access/event log line shape (`text` or `json`).
-        log_format: LogFormat,
-        /// Minimum log severity written to stderr.
-        log_level: LogLevel,
-        /// Max requests dispatched to workers at once.
-        max_inflight: usize,
-        /// Admission-queue deadline before `503` shedding.
-        queue_deadline_ms: u64,
-        /// Local session shards (consistent-hash routed; default 1).
-        shards: usize,
-        /// Remote peers speaking the same protocol (`--peer`, repeatable).
-        peers: Vec<String>,
-    },
+    Serve(ServerConfig),
     /// Fetch and summarize `GET /debug/traces` from a running server.
     Trace {
         /// Target server address (`host:port`).
@@ -171,8 +144,6 @@ pub enum Command {
     },
     /// Manage the on-disk dataset catalog (VSC2 columnar store).
     Dataset(DatasetCmd),
-    /// Inspect a running sharded/peered deployment.
-    Cluster(ClusterCmd),
     /// Print usage.
     Help,
 }
@@ -210,17 +181,6 @@ pub enum DatasetCmd {
         data_dir: String,
         /// Dataset name.
         name: String,
-    },
-}
-
-/// Actions under `viewseeker cluster`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClusterCmd {
-    /// Fetch and print `GET /cluster` from a running deployment: ring
-    /// membership, per-member routed/session counts, migration totals.
-    Status {
-        /// Target server address (`host:port`).
-        addr: String,
     },
 }
 
@@ -264,15 +224,12 @@ impl Command {
         if sub == "--help" || sub == "-h" || sub == "help" {
             return Ok(Command::Help);
         }
-        // `dataset` and `cluster` nest an action word before their flags.
+        // `dataset` nests an action word before its flags.
         if sub == "dataset" {
             return Self::parse_dataset(rest);
         }
-        if sub == "cluster" {
-            return Self::parse_cluster(rest);
-        }
         let flags = Flags::collect(rest)?;
-        match sub.as_str() {
+        let command = match sub.as_str() {
             "generate" => Ok(Command::Generate {
                 dataset: flags.require("--dataset")?,
                 rows: flags.get_parsed("--rows")?,
@@ -310,25 +267,36 @@ impl Command {
                 k: flags.get_parsed("--k")?.unwrap_or(3),
                 max_labels: flags.get_parsed("--max-labels")?.unwrap_or(30),
             }),
-            "serve" => Ok(Command::Serve {
-                addr: flags
-                    .get("--addr")
-                    .unwrap_or_else(|| "127.0.0.1:7878".into()),
-                workers: flags.get_parsed("--workers")?.unwrap_or(4),
-                max_sessions: flags.get_parsed("--max-sessions")?.unwrap_or(32),
-                ttl_secs: flags.get_parsed("--ttl")?.unwrap_or(1_800),
-                snapshot_dir: flags.get("--snapshot-dir"),
-                data_dir: flags.get("--data-dir"),
-                catalog_mem_budget: flags
-                    .get("--catalog-mem-budget")
-                    .map_or(Ok(512 << 20), |v| parse_byte_size(&v))?,
-                log_format: flags.get_parsed("--log-format")?.unwrap_or_default(),
-                log_level: flags.get_parsed("--log-level")?.unwrap_or_default(),
-                max_inflight: flags.get_parsed("--max-inflight")?.unwrap_or(256),
-                queue_deadline_ms: flags.get_parsed("--queue-deadline-ms")?.unwrap_or(500),
-                shards: flags.get_parsed("--shards")?.unwrap_or(1),
-                peers: flags.all("--peer"),
-            }),
+            "serve" => {
+                let default = ServerConfig::default();
+                Ok(Command::Serve(ServerConfig {
+                    addr: flags.get("--addr").unwrap_or(default.addr),
+                    workers: flags.get_parsed("--workers")?.unwrap_or(default.workers),
+                    max_sessions: flags
+                        .get_parsed("--max-sessions")?
+                        .unwrap_or(default.max_sessions),
+                    ttl: flags
+                        .get_parsed("--ttl")?
+                        .map_or(default.ttl, std::time::Duration::from_secs),
+                    snapshot_dir: flags.get("--snapshot-dir").map(Into::into),
+                    data_dir: flags.get("--data-dir").map(Into::into),
+                    catalog_mem_budget: flags
+                        .get("--catalog-mem-budget")
+                        .map_or(Ok(default.catalog_mem_budget), |v| parse_byte_size(&v))?,
+                    log_format: flags
+                        .get_parsed("--log-format")?
+                        .unwrap_or(default.log_format),
+                    log_level: flags
+                        .get_parsed("--log-level")?
+                        .unwrap_or(default.log_level),
+                    max_inflight: flags
+                        .get_parsed("--max-inflight")?
+                        .unwrap_or(default.max_inflight),
+                    queue_deadline_ms: flags
+                        .get_parsed("--queue-deadline-ms")?
+                        .unwrap_or(default.queue_deadline_ms),
+                }))
+            }
             "trace" => Ok(Command::Trace {
                 addr: flags.require("--addr")?,
                 format: flags.get("--format").unwrap_or_else(|| "summary".into()),
@@ -344,7 +312,9 @@ impl Command {
                 bins: flags.bin_configs()?,
             }),
             other => Err(format!("unknown subcommand {other:?}")),
-        }
+        }?;
+        flags.reject_unknown()?;
+        Ok(command)
     }
 
     fn parse_dataset(rest: &[String]) -> Result<Self, String> {
@@ -372,27 +342,16 @@ impl Command {
             },
             other => return Err(format!("unknown dataset action {other:?}")),
         };
+        flags.reject_unknown()?;
         Ok(Command::Dataset(cmd))
-    }
-
-    fn parse_cluster(rest: &[String]) -> Result<Self, String> {
-        let Some((action, rest)) = rest.split_first() else {
-            return Err("cluster needs an action: status".into());
-        };
-        let flags = Flags::collect(rest)?;
-        let cmd = match action.as_str() {
-            "status" => ClusterCmd::Status {
-                addr: flags.require("--addr")?,
-            },
-            other => return Err(format!("unknown cluster action {other:?}")),
-        };
-        Ok(Command::Cluster(cmd))
     }
 }
 
 /// `--flag value` pairs.
 struct Flags {
     pairs: Vec<(String, String)>,
+    /// Every flag a subcommand looked up; any other given flag is unknown.
+    asked: RefCell<Vec<String>>,
 }
 
 impl Flags {
@@ -408,23 +367,27 @@ impl Flags {
                 .ok_or_else(|| format!("flag {flag} needs a value"))?;
             pairs.push((flag.clone(), value.clone()));
         }
-        Ok(Self { pairs })
+        Ok(Self {
+            pairs,
+            asked: RefCell::new(Vec::new()),
+        })
+    }
+
+    /// Fails on the first given flag no lookup asked for.
+    fn reject_unknown(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        match self.pairs.iter().find(|(f, _)| !asked.contains(f)) {
+            Some((flag, _)) => Err(format!("unknown flag {flag}")),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, flag: &str) -> Option<String> {
+        self.asked.borrow_mut().push(flag.to_owned());
         self.pairs
             .iter()
             .find(|(f, _)| f == flag)
             .map(|(_, v)| v.clone())
-    }
-
-    /// Every value given for a repeatable flag, in order.
-    fn all(&self, flag: &str) -> Vec<String> {
-        self.pairs
-            .iter()
-            .filter(|(f, _)| f == flag)
-            .map(|(_, v)| v.clone())
-            .collect()
     }
 
     fn require(&self, flag: &str) -> Result<String, String> {
@@ -470,6 +433,7 @@ impl Flags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viewseeker_server::{LogFormat, LogLevel};
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         Command::parse(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>())
@@ -578,24 +542,7 @@ mod tests {
     #[test]
     fn parses_serve_with_defaults() {
         let c = parse(&["serve"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Serve {
-                addr: "127.0.0.1:7878".into(),
-                workers: 4,
-                max_sessions: 32,
-                ttl_secs: 1_800,
-                snapshot_dir: None,
-                data_dir: None,
-                catalog_mem_budget: 512 << 20,
-                log_format: LogFormat::Text,
-                log_level: LogLevel::Info,
-                max_inflight: 256,
-                queue_deadline_ms: 500,
-                shards: 1,
-                peers: vec![],
-            }
-        );
+        assert_eq!(c, Command::Serve(ServerConfig::default()));
         let c = parse(&[
             "serve",
             "--addr",
@@ -620,21 +567,15 @@ mod tests {
             "64",
             "--queue-deadline-ms",
             "250",
-            "--shards",
-            "4",
-            "--peer",
-            "10.0.0.2:7878",
-            "--peer",
-            "10.0.0.3:7878",
         ])
         .unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "0.0.0.0:80".into(),
                 workers: 2,
                 max_sessions: 5,
-                ttl_secs: 60,
+                ttl: std::time::Duration::from_secs(60),
                 snapshot_dir: Some("/tmp/vs".into()),
                 data_dir: Some("/tmp/vs-data".into()),
                 catalog_mem_budget: 256 << 20,
@@ -642,12 +583,9 @@ mod tests {
                 log_level: LogLevel::Warn,
                 max_inflight: 64,
                 queue_deadline_ms: 250,
-                shards: 4,
-                peers: vec!["10.0.0.2:7878".into(), "10.0.0.3:7878".into()],
-            }
+            })
         );
         assert!(parse(&["serve", "--workers", "two"]).is_err());
-        assert!(parse(&["serve", "--shards", "lots"]).is_err());
         assert!(parse(&["serve", "--log-format", "xml"]).is_err());
         assert!(parse(&["serve", "--log-level", "verbose"]).is_err());
         assert!(parse(&["serve", "--catalog-mem-budget", "lots"]).is_err());
@@ -769,17 +707,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_cluster_status() {
-        let c = parse(&["cluster", "status", "--addr", "127.0.0.1:7878"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Cluster(ClusterCmd::Status {
-                addr: "127.0.0.1:7878".into()
-            })
-        );
-        assert!(parse(&["cluster"]).is_err(), "needs an action");
-        assert!(parse(&["cluster", "rebalance", "--addr", "x"]).is_err());
-        assert!(parse(&["cluster", "status"]).is_err(), "--addr is required");
+    fn removed_cluster_surface_is_unknown() {
+        for removed in ["shards", "peer"] {
+            let flag = format!("--{removed}");
+            let err = parse(&["serve", &flag, "2"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
+        }
+        let err = parse(&["cluster", "--addr", "127.0.0.1:7878"]).unwrap_err();
+        assert_eq!(err, "unknown subcommand \"cluster\"");
+        assert!(parse(&["cluster", "status", "--addr", "127.0.0.1:7878"]).is_err());
+        // Every subcommand rejects a flag it does not read.
+        assert!(parse(&["views", "--data", "x.csv", "--executor", "fused"]).is_err());
+        assert!(parse(&["dataset", "list", "--data-dir", "d", "--csv", "x"]).is_err());
     }
 
     #[test]

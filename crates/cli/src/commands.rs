@@ -18,7 +18,7 @@ use viewseeker_eval::runner::{exact_feature_matrix, run_session, RunnerConfig, S
 use viewseeker_eval::SimulatedUser;
 
 use crate::chart::{render_density_grid, render_ranking, render_view};
-use crate::cli::{ClusterCmd, Command, DatasetCmd, USAGE};
+use crate::cli::{Command, DatasetCmd, USAGE};
 use crate::parse::parse_utility;
 
 /// Executes a parsed command.
@@ -57,35 +57,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             save,
             resume,
         } => explore(&data, &query, k, alpha, exclude, &bins, save, resume),
-        Command::Serve {
-            addr,
-            workers,
-            max_sessions,
-            ttl_secs,
-            snapshot_dir,
-            data_dir,
-            catalog_mem_budget,
-            log_format,
-            log_level,
-            max_inflight,
-            queue_deadline_ms,
-            shards,
-            peers,
-        } => serve(ServeArgs {
-            addr,
-            workers,
-            max_sessions,
-            ttl_secs,
-            snapshot_dir,
-            data_dir,
-            catalog_mem_budget,
-            log_format,
-            log_level,
-            max_inflight,
-            queue_deadline_ms,
-            shards,
-            peers,
-        }),
+        Command::Serve(config) => serve(&config),
         Command::Trace {
             addr,
             format,
@@ -93,7 +65,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             out,
         } => trace_cmd(&addr, &format, n, out),
         Command::Dataset(cmd) => dataset(cmd),
-        Command::Cluster(cmd) => cluster(cmd),
         Command::Scatter {
             data,
             query,
@@ -113,69 +84,16 @@ pub fn run(cmd: Command) -> Result<(), String> {
     }
 }
 
-/// Everything `viewseeker serve` needs, bundled so the flag list can grow
-/// without the argument count.
-struct ServeArgs {
-    addr: String,
-    workers: usize,
-    max_sessions: usize,
-    ttl_secs: u64,
-    snapshot_dir: Option<String>,
-    data_dir: Option<String>,
-    catalog_mem_budget: u64,
-    log_format: viewseeker_server::LogFormat,
-    log_level: viewseeker_server::LogLevel,
-    max_inflight: usize,
-    queue_deadline_ms: u64,
-    shards: usize,
-    peers: Vec<String>,
-}
-
-fn serve(args: ServeArgs) -> Result<(), String> {
-    let ServeArgs {
-        addr,
-        workers,
-        max_sessions,
-        ttl_secs,
-        snapshot_dir,
-        data_dir,
-        catalog_mem_budget,
-        log_format,
-        log_level,
-        max_inflight,
-        queue_deadline_ms,
-        shards,
-        peers,
-    } = args;
-    let config = viewseeker_server::ServerConfig {
-        addr: addr.clone(),
-        workers,
-        max_sessions,
-        ttl: std::time::Duration::from_secs(ttl_secs),
-        snapshot_dir: snapshot_dir.map(std::path::PathBuf::from),
-        data_dir: data_dir.map(std::path::PathBuf::from),
-        catalog_mem_budget,
-        log_format,
-        log_level,
-        max_inflight,
-        queue_deadline_ms,
-        shards,
-        peers,
-    };
-    let handle =
-        viewseeker_server::serve_app(&config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+fn serve(config: &viewseeker_server::ServerConfig) -> Result<(), String> {
+    let handle = viewseeker_server::serve_app(config)
+        .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     println!(
-        "viewseeker-server listening on http://{} ({workers} workers, \
-         {max_sessions} max sessions, {ttl_secs}s TTL)",
-        handle.addr()
+        "viewseeker-server listening on http://{} ({} workers, {} max sessions, {}s TTL)",
+        handle.addr(),
+        config.workers,
+        config.max_sessions,
+        config.ttl.as_secs()
     );
-    if config.shards > 1 || !config.peers.is_empty() {
-        println!(
-            "  cluster: {} local shard(s), {} peer(s) — GET /cluster for status",
-            config.shards.max(1),
-            config.peers.len()
-        );
-    }
     println!("  POST /sessions             {{\"dataset\": \"diab\", \"query\": \"a0 = 'a0_v0'\"}}");
     println!("  GET  /sessions/:id/next?m=1");
     println!("  POST /sessions/:id/feedback {{\"view\": 0, \"score\": 0.8}}");
@@ -402,65 +320,6 @@ fn dataset(cmd: DatasetCmd) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-/// `viewseeker cluster status`: fetches `GET /cluster` from a running
-/// deployment and renders the ring membership and migration totals as a
-/// human table.
-fn cluster(cmd: ClusterCmd) -> Result<(), String> {
-    let ClusterCmd::Status { addr } = cmd;
-    let (status, body) = http_get(&addr, "/cluster")?;
-    if status != 200 {
-        return Err(format!("{addr} answered {status}: {body}"));
-    }
-    let parsed =
-        serde_json::parse_value(&body).map_err(|e| format!("unparseable /cluster payload: {e}"))?;
-    let truthy = |v: Option<&serde_json::Value>| matches!(v, Some(serde_json::Value::Bool(true)));
-    let num = |key: &str| parsed.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-    let peer_count = parsed
-        .get("peers")
-        .and_then(|v| v.as_array())
-        .map_or(0, <[serde_json::Value]>::len);
-    println!(
-        "cluster at {addr}: {} local shard(s), {} peer(s){}",
-        num("local_shards"),
-        peer_count,
-        if truthy(parsed.get("rebalancing")) {
-            "  [REBALANCING]"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "forwarded {} (errors {}), migrated {} (errors {})\n",
-        num("forwarded"),
-        num("forward_errors"),
-        num("migrated_ok"),
-        num("migrated_err")
-    );
-    println!(
-        "{:<24} {:<6} {:>10} {:>10}  UP",
-        "MEMBER", "KIND", "ROUTED", "SESSIONS"
-    );
-    let members = parsed
-        .get("members")
-        .and_then(|v| v.as_array().map(<[serde_json::Value]>::to_vec))
-        .unwrap_or_default();
-    for m in &members {
-        println!(
-            "{:<24} {:<6} {:>10} {:>10}  {}",
-            m.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-            if truthy(m.get("local")) {
-                "shard"
-            } else {
-                "peer"
-            },
-            m.get("routed").and_then(|v| v.as_u64()).unwrap_or(0),
-            m.get("sessions").and_then(|v| v.as_u64()).unwrap_or(0),
-            if truthy(m.get("up")) { "yes" } else { "NO" }
-        );
-    }
-    Ok(())
 }
 
 fn generate(dataset: &str, rows: Option<usize>, seed: u64, out: &str) -> Result<(), String> {

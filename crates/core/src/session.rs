@@ -132,7 +132,6 @@ impl FeedbackSession {
             }
             QueryStrategyKind::Random => return Ok(self.random_unlabeled(m)),
             QueryStrategyKind::QueryByCommittee { committee_size } => {
-                use viewseeker_learn::active::QueryStrategy;
                 let labeled_x: Vec<Vec<f64>> = self
                     .labels
                     .iter()

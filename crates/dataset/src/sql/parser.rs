@@ -12,10 +12,11 @@
 //!                     | [NOT] BETWEEN number AND number )
 //! ```
 //!
-//! Every `NOT`, `(`, `AND` and `OR` nests the predicate one level deeper.
-//! Past [`MAX_DEPTH`] levels the parser stops with an error, so neither it
-//! nor anything that later walks the tree can exhaust a thread's stack on
-//! input a client sent.
+//! A chain of `AND`s (or `OR`s) is one n-ary node, however long, so only
+//! `NOT` and `(` nest the predicate one level deeper. Past [`MAX_DEPTH`]
+//! levels the parser stops with an error, so neither it nor anything that
+//! later walks the tree can exhaust a thread's stack on input a client
+//! sent.
 
 use crate::predicate::{next_up, Predicate};
 use crate::sql::lexer::{tokenize, Token};
@@ -106,25 +107,19 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Predicate, DatasetError> {
-        let depth = self.depth;
-        let mut left = self.parse_and()?;
+        let mut terms = vec![self.parse_and()?];
         while self.eat_keyword("OR") {
-            self.descend()?;
-            left = Predicate::Or(vec![left, self.parse_and()?]);
+            terms.push(self.parse_and()?);
         }
-        self.depth = depth;
-        Ok(left)
+        Ok(chain(terms, Predicate::Or))
     }
 
     fn parse_and(&mut self) -> Result<Predicate, DatasetError> {
-        let depth = self.depth;
-        let mut left = self.parse_unary()?;
+        let mut terms = vec![self.parse_unary()?];
         while self.eat_keyword("AND") {
-            self.descend()?;
-            left = Predicate::And(vec![left, self.parse_unary()?]);
+            terms.push(self.parse_unary()?);
         }
-        self.depth = depth;
-        Ok(left)
+        Ok(chain(terms, Predicate::And))
     }
 
     fn parse_unary(&mut self) -> Result<Predicate, DatasetError> {
@@ -249,6 +244,15 @@ impl Parser {
     }
 }
 
+/// The terms of one `AND` or `OR` chain as a single `join` node, or the
+/// lone term when there is no operator.
+fn chain(terms: Vec<Predicate>, join: fn(Vec<Predicate>) -> Predicate) -> Predicate {
+    match <[Predicate; 1]>::try_from(terms) {
+        Ok([term]) => term,
+        Err(terms) => join(terms),
+    }
+}
+
 /// The error for finding `found` where `what` was expected.
 fn expected(what: &str, found: Option<&Token>) -> DatasetError {
     let found = match found {
@@ -270,7 +274,9 @@ mod tests {
     use crate::table::Table;
 
     /// `{:?}` of `parse_where(input)` as the previous parser (a SQL AST
-    /// plus a separate compile pass) returned it. `{:?}` prints every f64
+    /// plus a separate compile pass) returned it, except that a chain of
+    /// three or more `AND`s or `OR`s is now one n-ary node where it was a
+    /// left-deep nest of binary ones (same rows). `{:?}` prints every f64
     /// in shortest round-trip form, so equal strings mean equal predicates.
     const KNOWN_ANSWERS: &[(&str, &str)] = &[
         // WHERE strings of the deleted SELECT parser and executor tests
@@ -289,7 +295,7 @@ mod tests {
         ),
         (
             "color IN ('red', 'blue') AND age BETWEEN 20 AND 65 AND NOT x = 1",
-            r#"Ok(And([And([In { column: "color", values: ["red", "blue"] }, Range { column: "age", low: 20.0, high: 65.00000000000001 }]), Not(Range { column: "x", low: 1.0, high: 1.0000000000000002 })]))"#,
+            r#"Ok(And([In { column: "color", values: ["red", "blue"] }, Range { column: "age", low: 20.0, high: 65.00000000000001 }, Not(Range { column: "x", low: 1.0, high: 1.0000000000000002 })]))"#,
         ),
         (
             "age NOT BETWEEN 20 AND 30",
@@ -383,7 +389,7 @@ mod tests {
         ),
         (
             "a0 = 'v' AND age >= 0 AND age < 10",
-            r#"Ok(And([And([Eq { column: "a0", value: "v" }, Range { column: "age", low: 0.0, high: inf }]), Range { column: "age", low: -inf, high: 10.0 }]))"#,
+            r#"Ok(And([Eq { column: "a0", value: "v" }, Range { column: "age", low: 0.0, high: inf }, Range { column: "age", low: -inf, high: 10.0 }]))"#,
         ),
         // ...and that syntax itself, which is not SQL
         ("a0=a0_v1", r#"Err(Sql("expected a literal, found a0_v1"))"#),
@@ -681,12 +687,7 @@ mod tests {
     fn nesting_is_bounded_without_exhausting_the_stack() {
         on_small_stack(|| {
             for depth in [MAX_DEPTH + 1, 100_000] {
-                for query in [
-                    nested("NOT ", "", depth),
-                    nested("(", ")", depth),
-                    nested("a = 'x' AND ", "", depth),
-                    nested("a = 'x' OR ", "", depth),
-                ] {
+                for query in [nested("NOT ", "", depth), nested("(", ")", depth)] {
                     let err = parse_where(&query).unwrap_err();
                     assert!(err.to_string().contains("nests deeper"), "{err}");
                 }
@@ -694,9 +695,46 @@ mod tests {
             for depth in [100, MAX_DEPTH] {
                 assert!(parse_where(&nested("NOT ", "", depth)).is_ok());
                 assert!(parse_where(&nested("(", ")", depth)).is_ok());
-                assert!(parse_where(&nested("a = 'x' AND ", "", depth)).is_ok());
             }
         });
+    }
+
+    #[test]
+    fn long_chains_are_one_node_and_select_what_nested_chains_select() {
+        let t = table();
+        let (and, or) = on_small_stack(|| {
+            (
+                parse_where(&nested("city = 'NY' AND ", "", 9_999)).unwrap(),
+                parse_where(&nested("age < 30 OR ", "", 9_999)).unwrap(),
+            )
+        });
+        for (predicate, join) in [(&and, "AND"), (&or, "OR")] {
+            let terms = match predicate {
+                Predicate::And(terms) | Predicate::Or(terms) => terms.len(),
+                other => panic!("{join}: {other:?}"),
+            };
+            assert_eq!(terms, 10_000, "{join}");
+        }
+        // A flat chain selects the same rows as the left-deep nest the
+        // parser built before chains were n-ary.
+        let left_deep = |query: &str, join: fn(Vec<Predicate>) -> Predicate| {
+            let mut terms = query.split(" AND ").map(|term| parse_where(term).unwrap());
+            let first = terms.next().unwrap();
+            terms.fold(first, |left, right| join(vec![left, right]))
+        };
+        for query in [
+            "city = 'NY' AND age >= 30 AND age < 50",
+            "age >= 20 AND NOT city = 'LA' AND age <= 60",
+        ] {
+            let flat = parse_where(query).unwrap();
+            assert!(matches!(&flat, Predicate::And(terms) if terms.len() == 3));
+            let nest = left_deep(query, Predicate::And);
+            assert_eq!(
+                flat.evaluate(&t).unwrap().ids(),
+                nest.evaluate(&t).unwrap().ids(),
+                "{query}"
+            );
+        }
     }
 
     /// Fragments arbitrary queries are spliced from: the grammar's tokens,

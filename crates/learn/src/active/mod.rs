@@ -1,71 +1,16 @@
-//! Active-learning query strategies.
+//! Active-learning query strategies that need a model of their own.
 //!
 //! "A query strategy attempts to minimize the labeling costs by selecting
-//! the most informative examples" (paper §3.2). The trait here abstracts
-//! over the three strategies this repository ships:
-//!
-//! * [`UncertaintySampling`] — least confidence (the paper's choice, "the
-//!   most efficient query strategy");
-//! * [`RandomSampling`] — the cold-start fallback and the natural ablation
-//!   baseline;
-//! * [`QueryByCommittee`] — a bootstrap-committee strategy (the paper cites
-//!   Seung et al.'s QBC as an alternative; we implement it for the ablation
-//!   bench).
+//! the most informative examples" (paper §3.2). Uncertainty sampling (the
+//! paper's choice) reads the session's own logistic estimator and random
+//! sampling needs no model, so both live in `viewseeker-core`'s session.
+//! What stays here is [`QueryByCommittee`], a bootstrap-committee strategy
+//! (the paper cites Seung et al.'s QBC as an alternative; it backs the
+//! strategy ablation).
 
 mod qbc;
-mod random;
-mod uncertainty;
 
 pub use qbc::QueryByCommittee;
-pub use random::RandomSampling;
-pub use uncertainty::UncertaintySampling;
-
-use crate::LearnError;
-
-/// A strategy that scores unlabeled candidates by informativeness.
-pub trait QueryStrategy {
-    /// Returns one informativeness score per candidate — higher means more
-    /// worth labeling. `labeled_x`/`labeled_y` are the examples labeled so
-    /// far (labels in `[0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Implementations surface model-fitting errors; all return
-    /// [`LearnError::DimensionMismatch`] for ragged inputs.
-    fn scores(
-        &mut self,
-        labeled_x: &[Vec<f64>],
-        labeled_y: &[f64],
-        candidates: &[Vec<f64>],
-    ) -> Result<Vec<f64>, LearnError>;
-
-    /// Human-readable strategy name (used in reports and benches).
-    fn name(&self) -> &'static str;
-
-    /// Indices of the `m` most informative candidates, best first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QueryStrategy::scores`] errors.
-    fn select_top(
-        &mut self,
-        labeled_x: &[Vec<f64>],
-        labeled_y: &[f64],
-        candidates: &[Vec<f64>],
-        m: usize,
-    ) -> Result<Vec<usize>, LearnError> {
-        let scores = self.scores(labeled_x, labeled_y, candidates)?;
-        let mut idx: Vec<usize> = (0..scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.truncate(m);
-        Ok(idx)
-    }
-}
 
 /// Binarizes soft labels at `threshold` for classifier-based strategies.
 #[must_use]
@@ -79,37 +24,6 @@ pub(crate) fn binarize(labels: &[f64], threshold: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fixed(Vec<f64>);
-    impl QueryStrategy for Fixed {
-        fn scores(
-            &mut self,
-            _: &[Vec<f64>],
-            _: &[f64],
-            _: &[Vec<f64>],
-        ) -> Result<Vec<f64>, LearnError> {
-            Ok(self.0.clone())
-        }
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-    }
-
-    #[test]
-    fn select_top_orders_by_score() {
-        let mut s = Fixed(vec![0.1, 0.9, 0.5, 0.9]);
-        let top = s
-            .select_top(&[], &[], &[vec![], vec![], vec![], vec![]], 3)
-            .unwrap();
-        assert_eq!(top, vec![1, 3, 2]); // ties broken by index
-    }
-
-    #[test]
-    fn select_top_handles_m_larger_than_candidates() {
-        let mut s = Fixed(vec![0.3, 0.1]);
-        let top = s.select_top(&[], &[], &[vec![], vec![]], 10).unwrap();
-        assert_eq!(top, vec![0, 1]);
-    }
 
     #[test]
     fn binarize_thresholds() {

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::active::{binarize, QueryStrategy};
+use crate::active::binarize;
 use crate::logreg::{LogisticConfig, LogisticRegression};
 use crate::LearnError;
 
@@ -36,10 +36,17 @@ impl QueryByCommittee {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-}
 
-impl QueryStrategy for QueryByCommittee {
-    fn scores(
+    /// One informativeness score per candidate — the committee's
+    /// disagreement, higher means more worth labeling. `labeled_x` /
+    /// `labeled_y` are the examples labeled so far (labels in `[0, 1]`,
+    /// binarized at 0.5).
+    ///
+    /// # Errors
+    ///
+    /// [`LearnError::InsufficientData`] without labels; model-fitting and
+    /// dimension errors from the members.
+    pub fn scores(
         &mut self,
         labeled_x: &[Vec<f64>],
         labeled_y: &[f64],
@@ -78,10 +85,6 @@ impl QueryStrategy for QueryByCommittee {
                 Ok(probs.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / probs.len() as f64)
             })
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "qbc"
     }
 }
 

@@ -10,13 +10,12 @@
 //! * [`logreg`] — L2-regularized **logistic regression** (the *uncertainty
 //!   estimator*): a probabilistic classifier over the same features whose
 //!   predicted probability drives uncertainty sampling;
-//! * [`active`] — **query strategies**: least-confidence uncertainty
-//!   sampling (the paper's choice, after Lewis & Gale), random sampling (the
-//!   cold-start fallback and an ablation baseline), and query-by-committee
-//!   (an ablation extension; the paper cites Seung et al. as an alternative).
+//! * [`active`] — **query-by-committee** (an ablation extension; the paper
+//!   cites Seung et al. as an alternative to uncertainty sampling, which the
+//!   session runs off the logistic estimator itself).
 //!
-//! Supporting pieces: a small dense [`matrix`] type with Cholesky solving
-//! for the normal equations, and a [`scaler`] for feature normalization.
+//! Supporting piece: a small dense [`matrix`] type with Cholesky solving
+//! for the normal equations.
 //!
 //! Everything is implemented from scratch per the reproduction brief ("must
 //! hand-roll active learning and ranking models").
@@ -28,13 +27,11 @@ pub mod active;
 pub mod linreg;
 pub mod logreg;
 pub mod matrix;
-pub mod scaler;
 
-pub use active::{QueryByCommittee, QueryStrategy, RandomSampling, UncertaintySampling};
+pub use active::QueryByCommittee;
 pub use linreg::{RidgeConfig, RidgeRegression};
 pub use logreg::{LogisticConfig, LogisticRegression};
 pub use matrix::Matrix;
-pub use scaler::MinMaxScaler;
 
 /// Errors produced by the learning substrate.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,8 +1,7 @@
 //! Log-linear bucketed latency histograms (HDR-style).
 //!
-//! Lives in `viewseeker-net` so the reactor (loop-tick timing), the
-//! server's per-route metrics and the cluster's forward latencies all
-//! share one mergeable layout.
+//! Lives in `viewseeker-net` so the reactor (loop-tick timing) and the
+//! server's per-route metrics share one mergeable layout.
 //!
 //! Values are microseconds. The bucket layout is *fixed* — derived from the
 //! value's binary magnitude, never from the data — so two histograms (e.g.

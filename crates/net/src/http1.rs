@@ -411,9 +411,8 @@ pub fn encode_response(response: &Response, keep_alive: bool, out: &mut Vec<u8>)
     out.extend_from_slice(response.body.as_bytes());
 }
 
-/// A complete response lifted out of a client's read buffer (the
-/// cluster's peer client, `viewseeker trace` and the tests are the
-/// consumers).
+/// A complete response lifted out of a client's read buffer (`viewseeker
+/// trace`, the benchmark's clients and the tests are the consumers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedResponse {
     /// HTTP status code.

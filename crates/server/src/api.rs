@@ -14,25 +14,6 @@ use crate::log::Logger;
 use crate::metrics::{Counters, EndpointReport, Metrics};
 use crate::registry::{PersistedSession, SessionEntry, SessionRegistry, SessionSpec};
 
-/// Deployment facts a shard reports on `GET /healthz` — fixed at
-/// startup (and by the shard router when it builds shard states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeInfo {
-    /// This shard's index among the process's local shards.
-    pub shard_id: usize,
-    /// Local shards in this process (`1` = unsharded).
-    pub shard_count: usize,
-}
-
-impl Default for RuntimeInfo {
-    fn default() -> Self {
-        Self {
-            shard_id: 0,
-            shard_count: 1,
-        }
-    }
-}
-
 /// Shared state behind every handler.
 pub struct AppState {
     /// The session table.
@@ -40,10 +21,8 @@ pub struct AppState {
     /// The dataset catalog shared by every session (same instance the
     /// registry resolves specs against).
     pub catalog: Arc<Catalog>,
-    /// Request histograms and lifecycle counters. Shared across shard
-    /// states so `/metrics` and `/healthz` report process-wide numbers
-    /// no matter which shard renders them.
-    pub metrics: Arc<Metrics>,
+    /// Request histograms and lifecycle counters.
+    pub metrics: Metrics,
     /// The structured event/access logger.
     pub logger: Arc<Logger>,
     /// Reactor counters behind the `viewseeker_net_*` series. All-zero
@@ -52,11 +31,6 @@ pub struct AppState {
     /// The tail sampler retaining the slowest/errored/shed request
     /// traces, exported by `GET /debug/traces`.
     pub traces: Arc<viewseeker_net::TraceSampler>,
-    /// Counters behind the `viewseeker_cluster_*` series, shared with
-    /// the shard router (all-zero when no router runs).
-    pub cluster: Arc<viewseeker_cluster::ClusterStats>,
-    /// Deployment facts for `GET /healthz`.
-    pub runtime: RuntimeInfo,
     /// Server start time, for the uptime report.
     pub started: Instant,
 }
@@ -73,7 +47,7 @@ impl AppState {
     /// the registry's lifecycle events into both.
     #[must_use]
     pub fn with_logger(mut registry: SessionRegistry, logger: Arc<Logger>) -> Self {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Metrics::new();
         registry.attach_observability(Arc::clone(metrics.counters()), Arc::clone(&logger));
         let catalog = Arc::clone(registry.catalog());
         Self {
@@ -83,39 +57,9 @@ impl AppState {
             logger,
             net: Arc::new(viewseeker_net::NetStats::new()),
             traces: Arc::new(viewseeker_net::TraceSampler::default()),
-            cluster: Arc::new(viewseeker_cluster::ClusterStats::new()),
-            runtime: RuntimeInfo::default(),
             // vslint::allow(wall-clock): process start time, reported only
             // as the /metrics uptime gauge.
             started: Instant::now(),
-        }
-    }
-
-    /// A sibling shard's state: its own registry and shard identity, but
-    /// every process-wide facility — metrics, logger, net stats, trace
-    /// sampler, cluster stats, start time — shared with `self`, so any
-    /// shard can render the merged `/metrics` and `/healthz` reports.
-    /// The registry should already share the catalog.
-    #[must_use]
-    pub fn sibling(&self, mut registry: SessionRegistry, shard_id: usize) -> Self {
-        registry.attach_observability(
-            Arc::clone(self.metrics.counters()),
-            Arc::clone(&self.logger),
-        );
-        let catalog = Arc::clone(registry.catalog());
-        Self {
-            registry,
-            catalog,
-            metrics: Arc::clone(&self.metrics),
-            logger: Arc::clone(&self.logger),
-            net: Arc::clone(&self.net),
-            traces: Arc::clone(&self.traces),
-            cluster: Arc::clone(&self.cluster),
-            runtime: RuntimeInfo {
-                shard_id,
-                ..self.runtime
-            },
-            started: self.started,
         }
     }
 }
@@ -534,10 +478,6 @@ pub struct Health {
     pub sessions: usize,
     /// Sessions evicted by this probe's TTL sweep.
     pub evicted: Vec<String>,
-    /// This shard's index among the process's local shards.
-    pub shard_id: usize,
-    /// Local shards in this process (`1` = unsharded).
-    pub shard_count: usize,
     /// Per-endpoint request counts and latency percentiles (quantiles from
     /// the bucketed histograms behind `GET /metrics`).
     pub endpoints: Vec<EndpointReport>,
@@ -556,8 +496,6 @@ pub fn healthz(state: &AppState) -> Result<Health, ServerError> {
         uptime_secs: state.started.elapsed().as_secs(),
         sessions: state.registry.len(),
         evicted,
-        shard_id: state.runtime.shard_id,
-        shard_count: state.runtime.shard_count,
         endpoints: state.metrics.report(),
     })
 }
@@ -566,23 +504,14 @@ pub fn healthz(state: &AppState) -> Result<Health, ServerError> {
 /// format (version 0.0.4).
 #[must_use]
 pub fn metrics_text(state: &AppState) -> String {
-    metrics_text_with_sessions(state, state.registry.len())
-}
-
-/// [`metrics_text`] with an explicit active-session count — the shard
-/// router passes the sum over every local shard so the
-/// `viewseeker_active_sessions` gauge stays process-wide.
-#[must_use]
-pub fn metrics_text_with_sessions(state: &AppState, active_sessions: usize) -> String {
     crate::prometheus::render(
         state.started.elapsed().as_secs_f64(),
-        active_sessions,
+        state.registry.len(),
         state.metrics.counters(),
         &state.metrics.histograms(),
         &state.metrics.stage_histograms(),
         &state.catalog.stats(),
         &state.net,
-        &state.cluster,
     )
 }
 

@@ -42,8 +42,6 @@
 //!     log_level: LogLevel::Off,
 //!     max_inflight: 256,
 //!     queue_deadline_ms: 500,
-//!     shards: 1,
-//!     peers: Vec::new(),
 //! };
 //! let handle = serve_app(&config).unwrap();
 //! let addr = handle.addr(); // POST http://{addr}/sessions etc.
@@ -54,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cluster;
 pub mod error;
 pub mod log;
 pub mod metrics;
@@ -68,11 +65,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use api::AppState;
-pub use cluster::ShardRouter;
 pub use error::ServerError;
 pub use log::{LogFormat, LogLevel, Logger};
 pub use registry::{PersistedSession, SessionRegistry, SessionSpec};
-pub use router::Router;
+pub use router::{Router, ShardRouter};
 
 /// Startup knobs for [`serve_app`].
 #[derive(Debug, Clone, PartialEq)]
@@ -106,21 +102,11 @@ pub struct ServerConfig {
     /// Max milliseconds a request may wait in the admission queue before
     /// being shed with `503 + Retry-After` (`--queue-deadline-ms`).
     pub queue_deadline_ms: u64,
-    /// Local session shards (`serve --shards N`; default 1). Above 1,
-    /// requests are consistent-hash routed by session id onto per-shard
-    /// registries, each with its own worker pool and lock domain.
-    pub shards: usize,
-    /// Remote peers (`serve --peer host:port`, repeatable) speaking the
-    /// same HTTP protocol. Sessions whose ring owner is a peer are
-    /// forwarded; on graceful shutdown local sessions drain to the peers.
-    pub peers: Vec<String>,
 }
 
 /// A running server: the `addr`/`shutdown` surface the CLI and tests need.
 pub struct AppHandle {
     event: viewseeker_net::EventHandle,
-    /// Shutdown first drains local sessions to the router's peers.
-    router: Arc<cluster::ShardRouter>,
 }
 
 impl AppHandle {
@@ -130,12 +116,8 @@ impl AppHandle {
         self.event.addr()
     }
 
-    /// Stops serving, drains in-flight work, and joins every thread. A
-    /// peered deployment first migrates local sessions to its peers (the
-    /// graceful drain, a no-op without peers), so a rolling restart loses
-    /// no session state.
+    /// Stops serving, drains in-flight work, and joins every thread.
     pub fn shutdown(self) {
-        self.router.drain_to_peers();
         self.event.shutdown();
     }
 }
@@ -154,8 +136,6 @@ impl Default for ServerConfig {
             log_level: LogLevel::Info,
             max_inflight: 256,
             queue_deadline_ms: 500,
-            shards: 1,
-            peers: Vec::new(),
         }
     }
 }
@@ -171,39 +151,17 @@ pub fn serve_app(config: &ServerConfig) -> std::io::Result<AppHandle> {
             .map_err(|e| std::io::Error::other(format!("opening catalog: {e}")))?,
         None => viewseeker_catalog::Catalog::in_memory(config.catalog_mem_budget),
     });
-    let shard_count = config.shards.max(1);
-    let max_sessions_per_shard = config.max_sessions.div_ceil(shard_count);
-    let make_registry = || {
-        SessionRegistry::with_catalog(
-            max_sessions_per_shard,
-            config.ttl,
-            config.snapshot_dir.clone(),
-            Arc::clone(&catalog),
-        )
-    };
-    let logger = Logger::stderr(config.log_format, config.log_level);
-    let mut state0 = AppState::with_logger(make_registry(), logger);
-    state0.runtime = api::RuntimeInfo {
-        shard_id: 0,
-        shard_count,
-    };
-    let state0 = Arc::new(state0);
-    let queue_depth = state0.metrics.counters().queue_depth_handle();
-    let net = Arc::clone(&state0.net);
-    let sink = Arc::new(trace::ServerTraceSink::new(Arc::clone(&state0)));
-    let mut shard_routers = vec![Arc::new(Router::new(Arc::clone(&state0)))];
-    for shard_id in 1..shard_count {
-        let state = Arc::new(state0.sibling(make_registry(), shard_id));
-        shard_routers.push(Arc::new(Router::new(state)));
-    }
-    let router = Arc::new(
-        cluster::ShardRouter::new(
-            shard_routers,
-            &config.peers,
-            config.workers.div_ceil(shard_count),
-        )
-        .map_err(|e| std::io::Error::other(format!("building shard router: {e}")))?,
+    let registry = SessionRegistry::with_catalog(
+        config.max_sessions,
+        config.ttl,
+        config.snapshot_dir.clone(),
+        catalog,
     );
+    let logger = Logger::stderr(config.log_format, config.log_level);
+    let state = Arc::new(AppState::with_logger(registry, logger));
+    let queue_depth = state.metrics.counters().queue_depth_handle();
+    let net = Arc::clone(&state.net);
+    let sink = Arc::new(trace::ServerTraceSink::new(Arc::clone(&state)));
     let event_config = viewseeker_net::EventConfig {
         workers: config.workers,
         max_inflight: config.max_inflight,
@@ -213,10 +171,10 @@ pub fn serve_app(config: &ServerConfig) -> std::io::Result<AppHandle> {
     let event = viewseeker_net::serve_event(
         config.addr.as_str(),
         event_config,
-        Arc::clone(&router),
+        Arc::new(Router::new(state)),
         net,
         queue_depth,
         sink,
     )?;
-    Ok(AppHandle { event, router })
+    Ok(AppHandle { event })
 }

@@ -161,36 +161,6 @@ static SERIES: &[SeriesDef] = &[
         help: "Rows appended to catalog datasets.",
     },
     SeriesDef {
-        name: "viewseeker_cluster_routed_total",
-        kind: "counter",
-        help: "Requests routed by the shard router, by ring member.",
-    },
-    SeriesDef {
-        name: "viewseeker_cluster_forwarded_total",
-        kind: "counter",
-        help: "Requests forwarded to remote peers.",
-    },
-    SeriesDef {
-        name: "viewseeker_cluster_forward_errors_total",
-        kind: "counter",
-        help: "Forwards that failed (peer down or timed out) and were answered with 503.",
-    },
-    SeriesDef {
-        name: "viewseeker_cluster_migrated_sessions_total",
-        kind: "counter",
-        help: "Sessions moved between ring members by rebalance or drain, by outcome.",
-    },
-    SeriesDef {
-        name: "viewseeker_cluster_shard_sessions",
-        kind: "gauge",
-        help: "Sessions resident on each local shard.",
-    },
-    SeriesDef {
-        name: "viewseeker_cluster_forward_seconds",
-        kind: "histogram",
-        help: "Round-trip latency of requests forwarded to remote peers.",
-    },
-    SeriesDef {
         name: "viewseeker_requests_total",
         kind: "counter",
         help: "Requests handled, by route.",
@@ -298,7 +268,6 @@ fn seconds(us: u64) -> String {
 
 /// Renders the whole scrape payload.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn render(
     uptime_secs: f64,
     active_sessions: usize,
@@ -307,7 +276,6 @@ pub fn render(
     stages: &[(String, String, Histogram)],
     catalog: &CatalogStats,
     net: &NetStats,
-    cluster: &viewseeker_cluster::ClusterStats,
 ) -> String {
     let mut exp = Exposition::new();
 
@@ -414,51 +382,6 @@ pub fn render(
     exp.series("viewseeker_append_rows_total");
     exp.sample("", "", catalog.append_rows);
 
-    use viewseeker_cluster::ClusterStats;
-    let members = cluster.members_snapshot();
-
-    exp.series("viewseeker_cluster_routed_total");
-    for member in &members {
-        let labels = format!("{{shard=\"{}\"}}", escape_label(&member.name));
-        exp.sample("", &labels, member.routed);
-    }
-
-    exp.series("viewseeker_cluster_forwarded_total");
-    exp.sample("", "", ClusterStats::get(&cluster.forwarded));
-
-    exp.series("viewseeker_cluster_forward_errors_total");
-    exp.sample("", "", ClusterStats::get(&cluster.forward_errors));
-
-    exp.series("viewseeker_cluster_migrated_sessions_total");
-    exp.sample(
-        "",
-        "{outcome=\"ok\"}",
-        ClusterStats::get(&cluster.migrated_ok),
-    );
-    exp.sample(
-        "",
-        "{outcome=\"error\"}",
-        ClusterStats::get(&cluster.migrated_err),
-    );
-
-    exp.series("viewseeker_cluster_shard_sessions");
-    for member in members.iter().filter(|m| m.local) {
-        let labels = format!("{{shard=\"{}\"}}", escape_label(&member.name));
-        exp.sample("", &labels, member.sessions);
-    }
-
-    exp.series("viewseeker_cluster_forward_seconds");
-    let forwards = cluster.forward_histogram();
-    let mut cumulative = 0u64;
-    for (bound_us, count) in forwards.nonzero_buckets() {
-        cumulative += count;
-        let labels = format!("{{le=\"{}\"}}", seconds(bound_us));
-        exp.sample("_bucket", &labels, cumulative);
-    }
-    exp.sample("_bucket", "{le=\"+Inf\"}", forwards.count());
-    exp.sample("_sum", "", seconds(forwards.sum_us()));
-    exp.sample("_count", "", forwards.count());
-
     exp.series("viewseeker_requests_total");
     for (route, hist) in histograms {
         let labels = format!("{{route=\"{}\"}}", escape_label(route));
@@ -539,19 +462,6 @@ mod tests {
         net.record_tick(50);
         let mut stage_hist = Histogram::new();
         stage_hist.record(100);
-        let cluster = viewseeker_cluster::ClusterStats::new();
-        cluster.set_members(&[("local-0".to_owned(), true), ("peer-x:1".to_owned(), false)]);
-        cluster.bump_routed(0);
-        cluster.bump_routed(1);
-        cluster.bump_routed(1);
-        cluster.set_sessions(0, 3);
-        cluster
-            .forwarded
-            .store(2, std::sync::atomic::Ordering::Relaxed);
-        cluster
-            .migrated_ok
-            .store(1, std::sync::atomic::Ordering::Relaxed);
-        cluster.record_forward(150);
         render(
             12.5,
             3,
@@ -564,7 +474,6 @@ mod tests {
             )],
             &catalog,
             &net,
-            &cluster,
         )
     }
 
@@ -689,48 +598,6 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("viewseeker_cluster_routed_total{shard=\"local-0\"} 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_routed_total{shard=\"peer-x:1\"} 2\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_forwarded_total 2\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_forward_errors_total 0\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_migrated_sessions_total{outcome=\"ok\"} 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_migrated_sessions_total{outcome=\"error\"} 0\n"),
-            "{text}"
-        );
-        // Only the local member has a session gauge.
-        assert!(
-            text.contains("viewseeker_cluster_shard_sessions{shard=\"local-0\"} 3\n"),
-            "{text}"
-        );
-        assert!(
-            !text.contains("viewseeker_cluster_shard_sessions{shard=\"peer-x:1\"}"),
-            "{text}"
-        );
-        // The single 150 µs forward lands in [144,160) → le 0.000159.
-        assert!(
-            text.contains("viewseeker_cluster_forward_seconds_bucket{le=\"0.000159\"} 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("viewseeker_cluster_forward_seconds_count 1\n"),
-            "{text}"
-        );
-        assert!(
             text.contains("viewseeker_requests_total{route=\"GET /sessions/:id\"} 3\n"),
             "{text}"
         );
@@ -840,7 +707,6 @@ mod tests {
             &[],
             &CatalogStats::default(),
             &NetStats::new(),
-            &viewseeker_cluster::ClusterStats::new(),
         );
         let mut last = 0u64;
         let mut bucket_lines = 0;

@@ -38,11 +38,9 @@ use crate::metrics::Counters;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSpec {
     /// Requested session id. `None` (the wire default — older clients
-    /// never send the key) lets the registry mint `s<n>`; the cluster
-    /// shard router sets it so an id's consistent-hash owner is decided
-    /// *before* the session exists, and so a forwarded create lands on a
-    /// plain peer server under the router-chosen id. Validated to 1–64
-    /// chars of `[A-Za-z0-9_-]`.
+    /// never send the key) lets the registry mint `s<n>`; a client that
+    /// wants to pick its own handle sets it. Validated to 1–64 chars of
+    /// `[A-Za-z0-9_-]`; a live id is a conflict.
     pub id: Option<String>,
     /// Named dataset: `"diab"` or `"syn"`.
     pub dataset: String,
@@ -397,10 +395,10 @@ impl SessionRegistry {
     ///
     /// Spec/seeker construction errors; eviction persistence errors.
     pub fn create(&self, mut spec: SessionSpec) -> Result<Arc<SessionEntry>, ServerError> {
-        // A requested id (set by the cluster shard router, or by any
-        // client that wants to pick its own handle) is honored after
-        // validation; it is lifted out of the spec so stored specs and
-        // snapshots stay canonical — the id lives on the entry.
+        // A requested id (set by a client that wants to pick its own
+        // handle) is honored after validation; it is lifted out of the
+        // spec so stored specs and snapshots stay canonical — the id lives
+        // on the entry.
         let requested = match spec.id.take() {
             Some(id) => {
                 Self::validate_id(&id)?;

@@ -272,6 +272,44 @@ impl Handler for Router {
     }
 }
 
+/// A pass-through in front of one [`Router`]. The server serves its
+/// `Router` directly; this type exists only because the benchmark's
+/// in-process replay (`benchmark/src/inproc.rs`) builds one by name and
+/// times requests through it.
+pub struct ShardRouter(Arc<Router>);
+
+impl ShardRouter {
+    /// Wraps the one router in `shards`. `_workers` is ignored.
+    ///
+    /// # Errors
+    ///
+    /// Anything but exactly one shard and no peers.
+    pub fn new(
+        shards: Vec<Arc<Router>>,
+        peer_addrs: &[String],
+        _workers: usize,
+    ) -> Result<Self, ServerError> {
+        let count = shards.len();
+        match (<[Arc<Router>; 1]>::try_from(shards), peer_addrs) {
+            (Ok([router]), []) => Ok(Self(router)),
+            _ => Err(ServerError::Internal(format!(
+                "one router and no peers only; got {count} router(s) and {} peer(s)",
+                peer_addrs.len()
+            ))),
+        }
+    }
+}
+
+impl Handler for ShardRouter {
+    fn handle(&self, request: &Request) -> Response {
+        self.0.handle(request)
+    }
+
+    fn handle_traced(&self, request: &Request, trace: &viewseeker_net::ActiveTrace) -> Response {
+        self.0.handle_traced(request, trace)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,5 +546,73 @@ mod tests {
         assert_eq!(reply.status, 400, "{}", reply.body);
         let reply = r.handle(&req("GET", "/sessions/s1/recommend?k=0x5", ""));
         assert_eq!(reply.status, 400, "{}", reply.body);
+    }
+
+    #[test]
+    fn shard_router_wraps_exactly_one_router_and_no_peers() {
+        let one = || vec![Arc::new(router())];
+        assert!(ShardRouter::new(one(), &[], 4).is_ok());
+        let two = vec![Arc::new(router()), Arc::new(router())];
+        assert!(ShardRouter::new(two, &[], 4).is_err());
+        assert!(ShardRouter::new(one(), &["127.0.0.1:7879".to_owned()], 4).is_err());
+        assert!(ShardRouter::new(Vec::new(), &[], 4).is_err());
+    }
+
+    /// `body` with every timing (`*_us`, `uptime_secs`) and request id
+    /// nulled, so two runs of one script compare byte for byte.
+    fn untimed(body: &str) -> String {
+        fn scrub(value: &mut Value) {
+            match value {
+                Value::Object(fields) => {
+                    for (key, field) in fields {
+                        if key.ends_with("_us") || key == "uptime_secs" || key == "request_id" {
+                            *field = Value::Null;
+                        } else {
+                            scrub(field);
+                        }
+                    }
+                }
+                Value::Array(items) => items.iter_mut().for_each(scrub),
+                _ => {}
+            }
+        }
+        let mut value = serde_json::parse_value(body).expect(body);
+        scrub(&mut value);
+        serde_json::render_compact(&value)
+    }
+
+    #[test]
+    fn shard_router_answers_what_its_router_answers() {
+        let direct = router();
+        let shim = ShardRouter::new(vec![Arc::new(router())], &[], 1).unwrap();
+        let script = [
+            (
+                "POST",
+                "/sessions",
+                r#"{"dataset": "diab", "rows": 800, "seed": 5, "query": "a0 = 'a0_v0'"}"#,
+            ),
+            ("GET", "/sessions/s1/next?m=2", ""),
+            (
+                "POST",
+                "/sessions/s1/feedback",
+                r#"{"view": 0, "score": 0.8}"#,
+            ),
+            (
+                "POST",
+                "/sessions/s1/feedback",
+                r#"{"view": 3, "score": 0.1}"#,
+            ),
+            ("GET", "/sessions/s1/recommend?k=3", ""),
+            ("GET", "/sessions/s1", ""),
+            ("DELETE", "/sessions/s1", ""),
+            ("GET", "/healthz", ""),
+        ];
+        for (method, path, body) in script {
+            let want = direct.handle(&req(method, path, body));
+            let got = shim.handle(&req(method, path, body));
+            assert_eq!(got.status, want.status, "{method} {path}: {}", got.body);
+            assert!(got.status < 300, "{method} {path}: {}", got.body);
+            assert_eq!(untimed(&got.body), untimed(&want.body), "{method} {path}");
+        }
     }
 }

@@ -375,3 +375,64 @@ fn connection_close_is_honored_on_errors() {
     assert!(raw.contains("Connection: close"), "{raw}");
     handle.shutdown();
 }
+
+/// A 10 000-term `AND` chain is one n-ary predicate, not 10 000 nesting
+/// levels: the session is created on a default-sized worker stack.
+#[test]
+fn long_and_chains_create_sessions() {
+    let handle = serve_app(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        log_level: LogLevel::Off,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = handle.addr();
+    let body = format!(
+        "{{\"dataset\": \"diab\", \"rows\": 200, \"query\": \"{}a0 = 'a0_v0'\"}}",
+        "a0 = 'a0_v0' AND ".repeat(9_999)
+    );
+    let (status, reply) = call(addr, "POST", "/sessions", &body);
+    assert_eq!(status, 201, "{reply}");
+    let id = json_field(&reply, "id").to_owned();
+    let (status, reply) = call(addr, "GET", &format!("/sessions/{id}/next?m=1"), "");
+    assert_eq!(status, 200, "{reply}");
+    handle.shutdown();
+}
+
+/// The process serves one router: the shard tier's routes are the
+/// router's 404, and neither `/metrics` nor `/healthz` reports shards.
+#[test]
+fn shard_tier_routes_series_and_health_keys_are_gone() {
+    const TIER: &str = "cluster";
+    let handle = serve_app(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        log_level: LogLevel::Off,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = handle.addr();
+    for (method, path, body) in [
+        ("GET", format!("/{TIER}"), ""),
+        ("POST", format!("/{TIER}/rebalance"), "{\"shards\": 1}"),
+    ] {
+        let (status, reply) = call(addr, method, &path, body);
+        assert_eq!(status, 404, "{method} {path}: {reply}");
+        assert!(reply.contains("no route for"), "{reply}");
+    }
+    let (status, metrics) = call(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("viewseeker_active_sessions 0"),
+        "{metrics}"
+    );
+    assert!(
+        !metrics.contains(&format!("viewseeker_{TIER}_")),
+        "{metrics}"
+    );
+    let (status, health) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    assert!(!health.contains("\"shard_"), "{health}");
+    handle.shutdown();
+}

@@ -20,7 +20,7 @@
 //! `Some(x)`/`Ok(x)` unwraps of typed expressions. What the pass cannot
 //! type falls back to unique-name matching (crate-local first), and
 //! from there to the unresolved bucket. The known limits are documented
-//! in DESIGN.md §15.
+//! in DESIGN.md §14.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

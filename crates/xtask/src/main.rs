@@ -10,7 +10,7 @@
 //! fires (`--json` additionally writes the findings as a JSON array to
 //! stdout for CI artifacts). `graph` builds the workspace call graph and
 //! prints it as JSON (default, or `--json`) or Graphviz DOT (`--dot`).
-//! See DESIGN.md §10 for the rule catalog and §15 for the call-graph
+//! See DESIGN.md §10 for the rule catalog and §14 for the call-graph
 //! analysis.
 
 #![forbid(unsafe_code)]

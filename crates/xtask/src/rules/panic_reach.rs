@@ -1,6 +1,6 @@
 //! Rule `panic-reachability`: the no-panic guarantee, extended from
 //! "these files" to "everything a request can reach". Starting from the
-//! server/net/cluster request entry points (`handle`, `handle_traced`,
+//! server/net request entry points (`handle`, `handle_traced`,
 //! `serve*`, `run`), every workspace function transitively reachable
 //! over the call graph must be panic-free — an `unwrap()` in a
 //! `dataset` helper three frames below a handler drops the connection
@@ -18,11 +18,11 @@ use crate::{Diagnostic, Workspace};
 const RULE: &str = "panic-reachability";
 
 /// Fn names treated as request entry points when defined in the
-/// `server`, `net`, or `cluster` crates.
+/// `server` or `net` crates.
 const ENTRY_NAMES: &[&str] = &["handle", "handle_traced", "serve", "serve_event", "run"];
 
 /// Crates whose entry-point fns seed the reachability walk.
-const ENTRY_CRATES: &[&str] = &["server", "net", "cluster"];
+const ENTRY_CRATES: &[&str] = &["server", "net"];
 
 /// Whether `fn_index` in `graph` is a request entry point.
 fn is_entry(graph: &CallGraph, fn_index: usize) -> bool {
