@@ -31,9 +31,14 @@ fn bench_tracing(c: &mut Criterion) {
                 || {
                     // A warmed-up session with a few labels, tracing into
                     // the tracer under measurement.
-                    let mut s =
-                        ViewSeeker::new(&table, &query, ViewSeekerConfig::default()).unwrap();
-                    s.set_tracer(make_tracer());
+                    let mut s = ViewSeeker::new_traced_with_zones(
+                        &table,
+                        &query,
+                        ViewSeekerConfig::default(),
+                        None,
+                        make_tracer(),
+                    )
+                    .unwrap();
                     for i in 0..6 {
                         let v = s.next_views(1).unwrap()[0];
                         s.submit_feedback(v, if i % 2 == 0 { 0.9 } else { 0.1 })

@@ -228,46 +228,57 @@ impl Command {
         if sub == "dataset" {
             return Self::parse_dataset(rest);
         }
-        let flags = Flags::collect(rest)?;
-        let command = match sub.as_str() {
-            "generate" => Ok(Command::Generate {
-                dataset: flags.require("--dataset")?,
-                rows: flags.get_parsed("--rows")?,
-                seed: flags.get_parsed("--seed")?.unwrap_or(7),
-                out: flags.require("--out")?,
-            }),
-            "views" => Ok(Command::Views {
-                data: flags.require("--data")?,
-                query: flags.get("--query").unwrap_or_else(|| "*".into()),
-                bins: flags.bin_configs()?,
-            }),
-            "rank" => Ok(Command::Rank {
-                data: flags.require("--data")?,
-                query: flags.get("--query").unwrap_or_else(|| "*".into()),
-                utility: flags.require("--utility")?,
-                k: flags.get_parsed("--k")?.unwrap_or(10),
-                bins: flags.bin_configs()?,
-                diverse: flags.get_parsed("--diverse")?,
-            }),
-            "explore" => Ok(Command::Explore {
-                data: flags.require("--data")?,
-                query: flags.get("--query").unwrap_or_else(|| "*".into()),
-                k: flags.get_parsed("--k")?.unwrap_or(5),
-                alpha: flags.get_parsed("--alpha")?.unwrap_or(1.0),
-                exclude: flags.list("--exclude"),
-                bins: flags.bin_configs()?,
-                save: flags.get("--save"),
-                resume: flags.get("--resume"),
-            }),
-            "scatter" => Ok(Command::Scatter {
-                data: flags.require("--data")?,
-                query: flags.get("--query").unwrap_or_else(|| "*".into()),
-                ideal: flags.require("--ideal")?,
-                grid: flags.get_parsed("--grid")?.unwrap_or(8),
-                k: flags.get_parsed("--k")?.unwrap_or(3),
-                max_labels: flags.get_parsed("--max-labels")?.unwrap_or(30),
-            }),
-            "serve" => {
+        // The subcommand is matched before its flags are read, so a
+        // misspelled or removed one is named as such whatever follows it.
+        let build: fn(&Flags) -> Result<Command, String> = match sub.as_str() {
+            "generate" => |flags| {
+                Ok(Command::Generate {
+                    dataset: flags.require("--dataset")?,
+                    rows: flags.get_parsed("--rows")?,
+                    seed: flags.get_parsed("--seed")?.unwrap_or(7),
+                    out: flags.require("--out")?,
+                })
+            },
+            "views" => |flags| {
+                Ok(Command::Views {
+                    data: flags.require("--data")?,
+                    query: flags.get("--query").unwrap_or_else(|| "*".into()),
+                    bins: flags.bin_configs()?,
+                })
+            },
+            "rank" => |flags| {
+                Ok(Command::Rank {
+                    data: flags.require("--data")?,
+                    query: flags.get("--query").unwrap_or_else(|| "*".into()),
+                    utility: flags.require("--utility")?,
+                    k: flags.get_parsed("--k")?.unwrap_or(10),
+                    bins: flags.bin_configs()?,
+                    diverse: flags.get_parsed("--diverse")?,
+                })
+            },
+            "explore" => |flags| {
+                Ok(Command::Explore {
+                    data: flags.require("--data")?,
+                    query: flags.get("--query").unwrap_or_else(|| "*".into()),
+                    k: flags.get_parsed("--k")?.unwrap_or(5),
+                    alpha: flags.get_parsed("--alpha")?.unwrap_or(1.0),
+                    exclude: flags.list("--exclude"),
+                    bins: flags.bin_configs()?,
+                    save: flags.get("--save"),
+                    resume: flags.get("--resume"),
+                })
+            },
+            "scatter" => |flags| {
+                Ok(Command::Scatter {
+                    data: flags.require("--data")?,
+                    query: flags.get("--query").unwrap_or_else(|| "*".into()),
+                    ideal: flags.require("--ideal")?,
+                    grid: flags.get_parsed("--grid")?.unwrap_or(8),
+                    k: flags.get_parsed("--k")?.unwrap_or(3),
+                    max_labels: flags.get_parsed("--max-labels")?.unwrap_or(30),
+                })
+            },
+            "serve" => |flags| {
                 let default = ServerConfig::default();
                 Ok(Command::Serve(ServerConfig {
                     addr: flags.get("--addr").unwrap_or(default.addr),
@@ -296,23 +307,29 @@ impl Command {
                         .get_parsed("--queue-deadline-ms")?
                         .unwrap_or(default.queue_deadline_ms),
                 }))
-            }
-            "trace" => Ok(Command::Trace {
-                addr: flags.require("--addr")?,
-                format: flags.get("--format").unwrap_or_else(|| "summary".into()),
-                n: flags.get_parsed("--n")?.unwrap_or(0),
-                out: flags.get("--out"),
-            }),
-            "simulate" => Ok(Command::Simulate {
-                data: flags.require("--data")?,
-                query: flags.get("--query").unwrap_or_else(|| "*".into()),
-                ideal: flags.require("--ideal")?,
-                k: flags.get_parsed("--k")?.unwrap_or(10),
-                max_labels: flags.get_parsed("--max-labels")?.unwrap_or(50),
-                bins: flags.bin_configs()?,
-            }),
-            other => Err(format!("unknown subcommand {other:?}")),
-        }?;
+            },
+            "trace" => |flags| {
+                Ok(Command::Trace {
+                    addr: flags.require("--addr")?,
+                    format: flags.get("--format").unwrap_or_else(|| "summary".into()),
+                    n: flags.get_parsed("--n")?.unwrap_or(0),
+                    out: flags.get("--out"),
+                })
+            },
+            "simulate" => |flags| {
+                Ok(Command::Simulate {
+                    data: flags.require("--data")?,
+                    query: flags.get("--query").unwrap_or_else(|| "*".into()),
+                    ideal: flags.require("--ideal")?,
+                    k: flags.get_parsed("--k")?.unwrap_or(10),
+                    max_labels: flags.get_parsed("--max-labels")?.unwrap_or(50),
+                    bins: flags.bin_configs()?,
+                })
+            },
+            other => return Err(format!("unknown subcommand {other:?}")),
+        };
+        let flags = Flags::collect(rest)?;
+        let command = build(&flags)?;
         flags.reject_unknown()?;
         Ok(command)
     }
@@ -321,27 +338,36 @@ impl Command {
         let Some((action, rest)) = rest.split_first() else {
             return Err("dataset needs an action: import, append, list, or inspect".into());
         };
-        let flags = Flags::collect(rest)?;
-        let cmd = match action.as_str() {
-            "import" => DatasetCmd::Import {
-                data_dir: flags.require("--data-dir")?,
-                csv: flags.require("--csv")?,
-                name: flags.get("--name"),
+        let build: fn(&Flags) -> Result<DatasetCmd, String> = match action.as_str() {
+            "import" => |flags| {
+                Ok(DatasetCmd::Import {
+                    data_dir: flags.require("--data-dir")?,
+                    csv: flags.require("--csv")?,
+                    name: flags.get("--name"),
+                })
             },
-            "append" => DatasetCmd::Append {
-                data_dir: flags.require("--data-dir")?,
-                csv: flags.require("--csv")?,
-                name: flags.require("--name")?,
+            "append" => |flags| {
+                Ok(DatasetCmd::Append {
+                    data_dir: flags.require("--data-dir")?,
+                    csv: flags.require("--csv")?,
+                    name: flags.require("--name")?,
+                })
             },
-            "list" => DatasetCmd::List {
-                data_dir: flags.require("--data-dir")?,
+            "list" => |flags| {
+                Ok(DatasetCmd::List {
+                    data_dir: flags.require("--data-dir")?,
+                })
             },
-            "inspect" => DatasetCmd::Inspect {
-                data_dir: flags.require("--data-dir")?,
-                name: flags.require("--name")?,
+            "inspect" => |flags| {
+                Ok(DatasetCmd::Inspect {
+                    data_dir: flags.require("--data-dir")?,
+                    name: flags.require("--name")?,
+                })
             },
             other => return Err(format!("unknown dataset action {other:?}")),
         };
+        let flags = Flags::collect(rest)?;
+        let cmd = build(&flags)?;
         flags.reject_unknown()?;
         Ok(Command::Dataset(cmd))
     }
@@ -715,7 +741,10 @@ mod tests {
         }
         let err = parse(&["cluster", "--addr", "127.0.0.1:7878"]).unwrap_err();
         assert_eq!(err, "unknown subcommand \"cluster\"");
-        assert!(parse(&["cluster", "status", "--addr", "127.0.0.1:7878"]).is_err());
+        let err = parse(&["cluster", "status", "--addr", "127.0.0.1:7878"]).unwrap_err();
+        assert_eq!(err, "unknown subcommand \"cluster\"");
+        let err = parse(&["dataset", "bogus", "extra", "--data-dir", "d"]).unwrap_err();
+        assert_eq!(err, "unknown dataset action \"bogus\"");
         // Every subcommand rejects a flag it does not read.
         assert!(parse(&["views", "--data", "x.csv", "--executor", "fused"]).is_err());
         assert!(parse(&["dataset", "list", "--data-dir", "d", "--csv", "x"]).is_err());

@@ -81,10 +81,7 @@ pub use metrics::{precision_at_k, tie_aware_precision_at_k, utility_distance};
 pub use persist::SessionSnapshot;
 pub use seeker::{MaterializationReport, OwnedSeeker, Seeker, SeekerPhase, ViewSeeker};
 pub use session::FeedbackSession;
-pub use trace::{
-    noop_tracer, IterationTrace, NoopTracer, PhaseTotal, Recorder, RefinementBudgetReport,
-    TracePhase, Tracer,
-};
+pub use trace::{noop_tracer, NoopTracer, PhaseTotal, Recorder, TracePhase, Tracer};
 pub use view::{ViewDef, ViewId, ViewSpace};
 
 use viewseeker_dataset::DatasetError;

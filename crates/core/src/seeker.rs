@@ -36,14 +36,12 @@ use viewseeker_dataset::executor::FusedScanStats;
 use viewseeker_dataset::sample::bernoulli_sample;
 use viewseeker_dataset::{RowSet, SelectQuery, Table, ZoneMaps};
 
-use crate::config::{RefineBudget, ViewSeekerConfig};
+use crate::config::ViewSeekerConfig;
 use crate::estimator::Label;
 use crate::features::{compute_features, FeatureMatrix};
 use crate::optimize::IncrementalRefiner;
 use crate::session::FeedbackSession;
-use crate::trace::{
-    duration_us, noop_tracer, IterationTrace, RefinementBudgetReport, Stopwatch, TracePhase, Tracer,
-};
+use crate::trace::{duration_us, noop_tracer, Stopwatch, TracePhase, Tracer};
 use crate::view::{ViewId, ViewSpace};
 use crate::viewgen::{materialize_all_fused_pruned, FusedRetained, GroupPlan, ViewData};
 use crate::CoreError;
@@ -135,18 +133,6 @@ pub struct AppendReport {
     pub rowgroups_scanned: u64,
     /// Row groups the zone maps excluded during that re-evaluation.
     pub rowgroups_pruned: u64,
-}
-
-/// The per-phase timing of one [`Seeker::run_refinement`] pass, fed into the
-/// iteration trace by [`Seeker::next_views`].
-#[derive(Debug, Default)]
-struct RefinementReport {
-    pruning_us: u64,
-    refinement_us: u64,
-    fit_us: u64,
-    refined: usize,
-    pending_after: usize,
-    budget: Option<RefinementBudgetReport>,
 }
 
 /// An α-sampled session's refinement state: which views still hold rough
@@ -243,9 +229,10 @@ impl<H: Borrow<Table>> Seeker<H> {
 
     /// [`Seeker::new`] with an explicit [`Tracer`] and the table's zone maps
     /// supplied by the caller (a catalog that loaded them from a VSC2
-    /// manifest). The offline phases (view-space generation +
-    /// materialization, feature extraction) are timed into the tracer, and
-    /// every later interactive turn reports there too; pass a shared
+    /// manifest). The tracer is the session's for its whole life: the
+    /// offline phases (view-space enumeration, materialization, feature
+    /// extraction) report into it here, and every later call reports its
+    /// interactive phases there too; pass a shared
     /// [`crate::trace::Recorder`] handle to observe the session.
     ///
     /// Without α-sampling the `DQ` predicate is evaluated through the zones
@@ -274,6 +261,7 @@ impl<H: Borrow<Table>> Seeker<H> {
             &config.bin_configs,
             &config.excluded_dimensions,
         )?;
+        tracer.record_span(TracePhase::ViewSpaceGen, gen_started.elapsed());
 
         let mat_started = Stopwatch::start();
         let Materialized {
@@ -294,7 +282,6 @@ impl<H: Borrow<Table>> Seeker<H> {
             duration_us: duration_us(mat_elapsed),
         };
         tracer.record_span(TracePhase::Materialization, mat_elapsed);
-        tracer.record_span(TracePhase::ViewSpaceGen, gen_started.elapsed());
 
         let feat_started = Stopwatch::start();
         let matrix = FeatureMatrix::from_views(&views, config.usability_optimal_bins)?;
@@ -450,12 +437,6 @@ impl<H: Borrow<Table>> Seeker<H> {
         })
     }
 
-    /// Replaces the session's tracer (the default is the no-op one). Spans
-    /// already recorded stay with the previous tracer.
-    pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
-        self.tracer = tracer;
-    }
-
     /// Interactive iterations completed so far (one per
     /// [`Seeker::next_views`] call).
     #[must_use]
@@ -537,24 +518,13 @@ impl<H: Borrow<Table>> Seeker<H> {
     ///
     /// Propagates estimator errors.
     pub fn next_views(&mut self, m: usize) -> Result<Vec<ViewId>, CoreError> {
+        self.run_refinement()?;
         let started = Stopwatch::start();
-        let report = self.run_refinement()?;
-        let sampling_started = Stopwatch::start();
-        let picks = self.session.next_items(m)?;
-        let sampling_us = duration_us(sampling_started.elapsed());
-
+        let picks = self.session.next_items(m);
+        self.tracer
+            .record_span(TracePhase::UncertaintySampling, started.elapsed());
+        let picks = picks?;
         self.iterations += 1;
-        self.tracer.record_iteration(IterationTrace {
-            iteration: self.iterations,
-            pruning_us: report.pruning_us,
-            refinement_us: report.refinement_us,
-            estimator_fit_us: report.fit_us,
-            sampling_us,
-            total_us: duration_us(started.elapsed()),
-            views_refined: report.refined,
-            pending_after: report.pending_after,
-            budget: report.budget,
-        });
         Ok(picks)
     }
 
@@ -628,14 +598,14 @@ impl<H: Borrow<Table>> Seeker<H> {
     /// full-data features of the highest-priority still-rough views, in
     /// batches of one fused pass each (see [`crate::optimize`]), then
     /// renormalizes the matrix and pushes it into the session (which refits
-    /// the estimators). Returns the phase timings of the pass for the
-    /// iteration trace.
-    fn run_refinement(&mut self) -> Result<RefinementReport, CoreError> {
+    /// the estimators). Reports one `pruning` and one `refinement` span per
+    /// pass, plus an `estimator_fit` span when the pass refined a view.
+    fn run_refinement(&mut self) -> Result<(), CoreError> {
         let Some(Refinement { refiner, plan }) = &mut self.refinement else {
-            return Ok(RefinementReport::default());
+            return Ok(());
         };
         if refiner.is_complete() {
-            return Ok(RefinementReport::default());
+            return Ok(());
         }
         let started = Stopwatch::start();
         // Priority: the current utility estimator's ranking, else view order
@@ -648,7 +618,7 @@ impl<H: Borrow<Table>> Seeker<H> {
         } else {
             (0..self.space.len()).collect()
         };
-        let pruning_us = duration_us(started.elapsed());
+        let pruning = started.elapsed();
 
         let batch_started = Stopwatch::start();
         let table = self.table.borrow();
@@ -670,36 +640,19 @@ impl<H: Borrow<Table>> Seeker<H> {
             }
             Ok(())
         })?;
-        let batch_elapsed = batch_started.elapsed();
+        self.tracer.record_span(TracePhase::Pruning, pruning);
         self.tracer
-            .record_span(TracePhase::Pruning, Duration::from_micros(pruning_us));
-        self.tracer
-            .record_span(TracePhase::Refinement, batch_elapsed);
-        let refinement_us = duration_us(batch_elapsed);
+            .record_span(TracePhase::Refinement, batch_started.elapsed());
 
-        let fit_started = Stopwatch::start();
         if refined > 0 {
+            let fit_started = Stopwatch::start();
             self.matrix.renormalize();
             self.session.update_matrix(self.matrix.clone())?;
+            self.tracer
+                .record_span(TracePhase::EstimatorFit, fit_started.elapsed());
         }
-        let fit_us = duration_us(fit_started.elapsed());
-
         self.refinement_time += started.elapsed();
-        let budget = Some(match self.config.refine_budget {
-            RefineBudget::Views(budget) => RefinementBudgetReport::Views { budget, refined },
-            RefineBudget::Time(budget) => RefinementBudgetReport::Time {
-                budget_us: duration_us(budget),
-                actual_us: refinement_us,
-            },
-        });
-        Ok(RefinementReport {
-            pruning_us,
-            refinement_us,
-            fit_us,
-            refined,
-            pending_after: refiner.pending(),
-            budget,
-        })
+        Ok(())
     }
 }
 
@@ -1040,81 +993,85 @@ mod tests {
         assert_eq!(report.rowgroups_scanned + report.rowgroups_pruned, 0);
     }
 
+    /// A session tracing into a fresh [`crate::trace::Recorder`].
+    fn traced<'a>(
+        table: &'a Table,
+        query: &SelectQuery,
+        config: ViewSeekerConfig,
+    ) -> (ViewSeeker<'a>, Arc<crate::trace::Recorder>) {
+        let recorder = crate::trace::Recorder::shared();
+        let tracer = Arc::clone(&recorder) as Arc<dyn Tracer>;
+        let s = ViewSeeker::new_traced_with_zones(table, query, config, None, tracer).unwrap();
+        (s, recorder)
+    }
+
     #[test]
     fn iteration_traces_account_for_next_views_wall_time() {
-        use crate::trace::Recorder;
-
         let (table, query) = testbed();
         let cfg = ViewSeekerConfig {
             alpha: 0.2,
             refine_budget: RefineBudget::Views(40),
             ..ViewSeekerConfig::default()
         };
-        let recorder = Recorder::shared();
-        let mut s = ViewSeeker::new_traced_with_zones(
-            &table,
-            &query,
-            cfg,
-            None,
-            Arc::clone(&recorder) as Arc<dyn Tracer>,
-        )
-        .unwrap();
+        let (mut s, recorder) = traced(&table, &query, cfg);
 
-        // Offline phases were timed during construction.
-        assert_eq!(recorder.phase_total(TracePhase::ViewSpaceGen).count, 1);
-        assert_eq!(recorder.phase_total(TracePhase::FeatureExtraction).count, 1);
+        // Each offline phase was timed once, during construction.
+        for phase in [
+            TracePhase::ViewSpaceGen,
+            TracePhase::Materialization,
+            TracePhase::FeatureExtraction,
+        ] {
+            assert_eq!(recorder.phase_total(phase).count, 1, "{phase:?}");
+        }
 
-        let mut wall = Vec::new();
+        let interactive_us = || {
+            [
+                TracePhase::Pruning,
+                TracePhase::Refinement,
+                TracePhase::EstimatorFit,
+                TracePhase::UncertaintySampling,
+            ]
+            .iter()
+            .map(|&p| recorder.phase_total(p).total_us)
+            .sum::<u64>()
+        };
         for i in 0..4 {
+            let before_us = interactive_us();
+            let fits = recorder.phase_total(TracePhase::EstimatorFit).count;
+            let pending = s.pending_refinements();
             let started = Stopwatch::start();
             let v = s.next_views(1).unwrap()[0];
-            wall.push(started.elapsed());
+            let wall_us = started.elapsed_us();
+            // The phases are disjoint, so their spans never exceed the call;
+            // they cover all of it but a few clock reads, so with a 40-view
+            // refinement batch dominating the turn they reach 90% of it.
+            let phases_us = interactive_us() - before_us;
+            assert!(phases_us <= wall_us, "phases {phases_us} vs wall {wall_us}");
+            assert!(
+                phases_us * 10 >= wall_us * 9,
+                "phases {phases_us} vs wall {wall_us}"
+            );
+            // `Views(40)` refines 40 views per turn, then refits once.
+            assert_eq!(s.pending_refinements(), pending - 40);
+            assert_eq!(
+                recorder.phase_total(TracePhase::EstimatorFit).count,
+                fits + 1
+            );
             s.submit_feedback(v, if i % 2 == 0 { 0.9 } else { 0.1 })
                 .unwrap();
         }
         let _ = s.recommend(5).unwrap();
 
         assert_eq!(s.iteration_count(), 4);
-        assert_eq!(recorder.iteration_count(), 4);
-        let traces = recorder.iterations();
-        assert_eq!(traces.len(), 4);
-        for (trace, wall) in traces.iter().zip(&wall) {
-            // The per-phase durations sum to within 10% of the measured
-            // wall time of next_views (acceptance criterion). The phases
-            // cover everything but a handful of Instant::now calls, so
-            // with a 40-view refinement batch dominating each iteration
-            // the slack is generous.
-            let wall_us = wall.as_micros() as u64;
-            assert!(
-                trace.phase_sum_us() * 10 >= trace.total_us * 9,
-                "phase sum {} vs traced total {}",
-                trace.phase_sum_us(),
-                trace.total_us
-            );
-            assert!(
-                trace.total_us <= wall_us,
-                "traced total {} exceeds measured wall {}",
-                trace.total_us,
-                wall_us
-            );
-            assert!(
-                trace.phase_sum_us() * 10 >= wall_us * 9,
-                "phase sum {} vs wall {}",
-                trace.phase_sum_us(),
-                wall_us
-            );
-            // Refinement reported against its configured budget.
-            assert_eq!(
-                trace.budget,
-                Some(crate::trace::RefinementBudgetReport::Views {
-                    budget: 40,
-                    refined: trace.views_refined,
-                })
-            );
-            assert_eq!(trace.views_refined, 40);
+        for phase in [
+            TracePhase::Pruning,
+            TracePhase::Refinement,
+            TracePhase::UncertaintySampling,
+        ] {
+            assert_eq!(recorder.phase_total(phase).count, 4, "{phase:?}");
         }
-        assert!(recorder.phase_total(TracePhase::Refinement).total_us > 0);
-        assert!(recorder.phase_total(TracePhase::EstimatorFit).count >= 4);
+        // Four post-refinement refits plus four label fits.
+        assert_eq!(recorder.phase_total(TracePhase::EstimatorFit).count, 8);
         assert_eq!(recorder.phase_total(TracePhase::Recommend).count, 1);
     }
 
@@ -1126,47 +1083,36 @@ mod tests {
             refine_budget: RefineBudget::Time(Duration::from_millis(5)),
             ..ViewSeekerConfig::default()
         };
-        let recorder = crate::trace::Recorder::shared();
-        let mut s = ViewSeeker::new_traced_with_zones(
-            &table,
-            &query,
-            cfg,
-            None,
-            Arc::clone(&recorder) as Arc<dyn Tracer>,
-        )
-        .unwrap();
+        let (mut s, recorder) = traced(&table, &query, cfg);
         let _ = s.next_views(1).unwrap();
-        let trace = recorder.last_iteration().unwrap();
-        match trace.budget {
-            Some(crate::trace::RefinementBudgetReport::Time {
-                budget_us,
-                actual_us,
-            }) => {
-                assert_eq!(budget_us, 5_000);
-                assert!(actual_us > 0);
-            }
-            other => panic!("expected a time budget report, got {other:?}"),
-        }
+        assert!(s.pending_refinements() < s.view_space().len());
+        assert_eq!(recorder.phase_total(TracePhase::Pruning).count, 1);
+        let refinement = recorder.phase_total(TracePhase::Refinement);
+        assert_eq!(refinement.count, 1);
+        assert!(refinement.total_us > 0);
+        // The span is the batch alone; `refinement_time` also holds the
+        // pass's pruning and refit.
+        assert!(refinement.total_us <= duration_us(s.refinement_time()));
     }
 
     #[test]
     fn full_init_sessions_trace_without_refinement_phases() {
         let (table, query) = testbed();
-        let recorder = crate::trace::Recorder::shared();
-        let mut s = ViewSeeker::new_traced_with_zones(
-            &table,
-            &query,
-            ViewSeekerConfig::default(),
-            None,
-            Arc::clone(&recorder) as Arc<dyn Tracer>,
-        )
-        .unwrap();
+        let (mut s, recorder) = traced(&table, &query, ViewSeekerConfig::default());
         let _ = s.next_views(1).unwrap();
-        let trace = recorder.last_iteration().unwrap();
-        assert_eq!(trace.budget, None);
-        assert_eq!(trace.views_refined, 0);
-        assert_eq!(trace.refinement_us, 0);
-        assert_eq!(trace.pending_after, 0);
+        for phase in [
+            TracePhase::Pruning,
+            TracePhase::Refinement,
+            TracePhase::EstimatorFit,
+        ] {
+            assert_eq!(recorder.phase_total(phase).count, 0, "{phase:?}");
+        }
+        assert_eq!(
+            recorder.phase_total(TracePhase::UncertaintySampling).count,
+            1
+        );
+        assert_eq!(s.pending_refinements(), 0);
+        assert_eq!(s.refinement_time(), Duration::ZERO);
     }
 
     #[test]

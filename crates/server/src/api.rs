@@ -227,10 +227,7 @@ pub fn get_session(state: &AppState, id: &str) -> Result<SessionInfo, ServerErro
 pub fn next_views(state: &AppState, id: &str, m: usize) -> Result<Vec<ViewInfo>, ServerError> {
     let entry = state.registry.get(id)?;
     let mut seeker = entry.seeker_lock()?;
-    crate::trace::tee_seeker(&mut seeker, &entry.recorder);
-    let result = seeker.next_views(m);
-    crate::trace::untee_seeker(&mut seeker, &entry.recorder);
-    let ids = result?;
+    let ids = seeker.next_views(m)?;
     ids.into_iter()
         .map(|v| view_info(&entry, &seeker, v, None))
         .collect()
@@ -254,13 +251,9 @@ pub fn feedback(state: &AppState, id: &str, body: &str) -> Result<SessionInfo, S
     let parsed: FeedbackBody = serde_json::from_str(body)
         .map_err(|e| ServerError::BadRequest(format!("bad feedback body: {e}")))?;
     let entry = state.registry.get(id)?;
-    {
-        let mut seeker = entry.seeker_lock()?;
-        crate::trace::tee_seeker(&mut seeker, &entry.recorder);
-        let result = seeker.submit_feedback(ViewId::from_index(parsed.view), parsed.score);
-        crate::trace::untee_seeker(&mut seeker, &entry.recorder);
-        result?;
-    }
+    entry
+        .seeker_lock()?
+        .submit_feedback(ViewId::from_index(parsed.view), parsed.score)?;
     Counters::bump(&state.metrics.counters().feedback_labels);
     session_info(&entry)
 }
@@ -278,14 +271,11 @@ pub fn recommend(
     lambda: Option<f64>,
 ) -> Result<Vec<ViewInfo>, ServerError> {
     let entry = state.registry.get(id)?;
-    let mut seeker = entry.seeker_lock()?;
-    crate::trace::tee_seeker(&mut seeker, &entry.recorder);
-    let result = match lambda {
+    let seeker = entry.seeker_lock()?;
+    let ids = match lambda {
         Some(l) => seeker.recommend_diverse(k, l),
         None => seeker.recommend(k),
-    };
-    crate::trace::untee_seeker(&mut seeker, &entry.recorder);
-    let ids = result?;
+    }?;
     let scores = seeker.predicted_scores()?;
     ids.into_iter()
         .map(|v| {
@@ -543,18 +533,6 @@ pub fn debug_traces(
             "unknown trace format {other:?} (chrome|folded)"
         ))),
     }
-}
-
-/// Convenience constructor used by the CLI and tests.
-#[must_use]
-pub fn shared_state(registry: SessionRegistry) -> Arc<AppState> {
-    Arc::new(AppState::new(registry))
-}
-
-/// [`shared_state`] with an explicit logger, for [`crate::serve_app`].
-#[must_use]
-pub fn shared_state_with_logger(registry: SessionRegistry, logger: Arc<Logger>) -> Arc<AppState> {
-    Arc::new(AppState::with_logger(registry, logger))
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use viewseeker_dataset::SelectQuery;
 use crate::error::ServerError;
 use crate::log::{n, s, Logger};
 use crate::metrics::Counters;
+use crate::trace::SessionTracer;
 
 /// Everything needed to (re)build a session's world deterministically: the
 /// named generated dataset and the view-space configuration. Doubles as the
@@ -413,7 +414,10 @@ impl SessionRegistry {
         };
         let dataset = spec.resolve_dataset(&self.catalog)?;
         let recorder = Recorder::shared();
-        let seeker = spec.build_seeker_on(&dataset, Arc::clone(&recorder) as Arc<dyn Tracer>)?;
+        let seeker = spec.build_seeker_on(
+            &dataset,
+            Arc::new(SessionTracer::new(Arc::clone(&recorder))),
+        )?;
         let id = requested
             .unwrap_or_else(|| format!("s{}", self.next_id.fetch_add(1, Ordering::SeqCst)));
         let entry = self.insert(id, spec, &dataset, seeker, recorder)?;
@@ -501,9 +505,10 @@ impl SessionRegistry {
             }
         }
         let recorder = Recorder::shared();
-        let mut seeker = persisted
-            .spec
-            .build_seeker_on(&dataset, Arc::clone(&recorder) as Arc<dyn Tracer>)?;
+        let mut seeker = persisted.spec.build_seeker_on(
+            &dataset,
+            Arc::new(SessionTracer::new(Arc::clone(&recorder))),
+        )?;
         persisted.snapshot.replay_onto(&mut seeker)?;
         self.insert(
             persisted.id.clone(),

@@ -317,11 +317,11 @@ mod tests {
     use std::time::Duration;
 
     fn router() -> Router {
-        Router::new(api::shared_state(SessionRegistry::new(
+        Router::new(Arc::new(AppState::new(SessionRegistry::new(
             4,
             Duration::from_secs(600),
             None,
-        )))
+        ))))
     }
 
     fn req(method: &str, path_and_query: &str, body: &str) -> Request {
@@ -379,6 +379,67 @@ mod tests {
         assert_eq!(reply.status, 404);
         let reply = r.handle(&req("PATCH", "/sessions", ""));
         assert_eq!(reply.status, 404);
+    }
+
+    /// `(count, total_us)` of `phase` in a session body's `phase_totals`.
+    fn phase_total(session: &Value, phase: &str) -> (u64, u64) {
+        let entry = session
+            .get("phase_totals")
+            .and_then(Value::as_array)
+            .and_then(|totals| {
+                totals
+                    .iter()
+                    .find(|t| t.get("phase").and_then(Value::as_str) == Some(phase))
+            })
+            .unwrap_or_else(|| panic!("no {phase} in {session}"));
+        let field = |key| entry.get(key).and_then(Value::as_u64).unwrap();
+        (field("count"), field("total_us"))
+    }
+
+    #[test]
+    fn session_phase_totals_report_each_refinement_pass_once() {
+        let r = router();
+        let reply = r.handle(&req(
+            "POST",
+            "/sessions",
+            r#"{"dataset": "diab", "rows": 3000, "seed": 5, "query": "a0 = 'a0_v0'", "alpha": 0.2}"#,
+        ));
+        assert_eq!(reply.status, 201, "{}", reply.body);
+        let session = |r: &Router| {
+            let reply = r.handle(&req("GET", "/sessions/s1", ""));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            serde_json::parse_value(&reply.body).unwrap()
+        };
+        let field = |session: &Value, key| session.get(key).and_then(Value::as_u64).unwrap();
+
+        let mut passes = 0;
+        for score in [0.9, 0.1, 0.6] {
+            if field(&session(&r), "pending_refinements") > 0 {
+                passes += 1;
+            }
+            let reply = r.handle(&req("GET", "/sessions/s1/next?m=1", ""));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            let picks = serde_json::parse_value(&reply.body).unwrap();
+            let view = picks.as_array().and_then(|p| p.first()).unwrap();
+            let body = format!("{{\"view\": {}, \"score\": {score}}}", field(view, "id"));
+            let reply = r.handle(&req("POST", "/sessions/s1/feedback", &body));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+        }
+
+        let after = session(&r);
+        assert!(passes > 0, "an α < 1 session refines on its first turn");
+        assert_eq!(phase_total(&after, "pruning").0, passes);
+        let (refinements, refinement_us) = phase_total(&after, "refinement");
+        assert_eq!(refinements, passes);
+        assert!(
+            refinement_us <= field(&after, "refinement_time_us"),
+            "refinement spans exceed refinement_time_us: {after}"
+        );
+        assert_eq!(phase_total(&after, "uncertainty_sampling").0, 3);
+        assert_eq!(field(&after, "iterations"), 3);
+        for offline in ["view_space_gen", "materialization", "feature_extraction"] {
+            assert_eq!(phase_total(&after, offline).0, 1, "{offline}");
+        }
     }
 
     #[test]

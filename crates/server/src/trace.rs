@@ -1,22 +1,21 @@
 //! Server-side request-tracing glue: the thread-local current-trace
-//! scope, the tee that forwards the seeker's `core::trace` phases into
-//! the active request's span tree, and the [`ServerTraceSink`] that fans
-//! finished traces out to the tail sampler, the per-stage latency
-//! histograms, and (for requests the router never saw) the access log.
+//! scope, the [`SessionTracer`] every seeker reports its `core::trace`
+//! phases through, and the [`ServerTraceSink`] that fans finished traces
+//! out to the tail sampler, the per-stage latency histograms, and (for
+//! requests the router never saw) the access log.
 //!
 //! The split of responsibilities: `viewseeker-net` owns ids, span
 //! mechanics, sampling, and export formats; this module owns everything
 //! that needs the server's shared state — metrics, logging, and the
-//! session recorder tee. The router enters a [`TraceScope`] per request
-//! so handler-layer code (serialization, the seeker tee) can reach the
+//! session tracer. The router enters a [`TraceScope`] per request so
+//! handler-layer code (serialization, the session tracer) can reach the
 //! active trace without threading it through every signature.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
-use viewseeker_core::trace::{IterationTrace, Recorder, TracePhase, Tracer};
-use viewseeker_core::OwnedSeeker;
+use viewseeker_core::trace::{Recorder, TracePhase, Tracer};
 use viewseeker_net::trace::{ActiveTrace, RequestTrace, TraceSink};
 
 use crate::api::AppState;
@@ -72,42 +71,32 @@ pub fn record_serialize(duration: Duration) {
     }
 }
 
-/// A [`Tracer`] that forwards every seeker phase report to the session's
-/// long-lived [`Recorder`] *and* stamps it as a nested span on the
-/// active request trace — so `/debug/traces` shows where inside the
-/// handler a slow `next`/`feedback`/`recommend` call actually went.
+/// The one tracer a session's seeker holds for its whole life: every
+/// phase span goes to the session's long-lived [`Recorder`] and, while a
+/// request scope is active on the calling thread, is also stamped as a
+/// span nested under `handler` on that request's trace — so
+/// `/debug/traces` shows where inside the handler a slow create, restore,
+/// `next`, `feedback` or `recommend` call actually went.
 #[derive(Debug)]
-pub struct TeeTracer {
+pub struct SessionTracer {
     recorder: Arc<Recorder>,
-    trace: ActiveTrace,
 }
 
-impl Tracer for TeeTracer {
+impl SessionTracer {
+    /// A tracer feeding `recorder`.
+    #[must_use]
+    pub fn new(recorder: Arc<Recorder>) -> Self {
+        Self { recorder }
+    }
+}
+
+impl Tracer for SessionTracer {
     fn record_span(&self, phase: TracePhase, duration: Duration) {
         self.recorder.record_span(phase, duration);
-        self.trace.record_nested(phase.name(), duration);
+        if let Some(trace) = current() {
+            trace.record_nested(phase.name(), duration);
+        }
     }
-
-    fn record_iteration(&self, trace: IterationTrace) {
-        self.recorder.record_iteration(trace);
-    }
-}
-
-/// Points the seeker's tracer at a [`TeeTracer`] for the duration of one
-/// handler call, when a request trace is active. Callers pair this with
-/// [`untee_seeker`] after the seeker operation (error paths included).
-pub fn tee_seeker(seeker: &mut OwnedSeeker, recorder: &Arc<Recorder>) {
-    if let Some(trace) = current() {
-        seeker.set_tracer(Arc::new(TeeTracer {
-            recorder: Arc::clone(recorder),
-            trace,
-        }));
-    }
-}
-
-/// Restores the seeker's tracer to the session's plain recorder.
-pub fn untee_seeker(seeker: &mut OwnedSeeker, recorder: &Arc<Recorder>) {
-    seeker.set_tracer(Arc::clone(recorder) as Arc<dyn Tracer>);
 }
 
 /// The production [`TraceSink`]: feeds the tail sampler behind
@@ -199,21 +188,21 @@ mod tests {
     }
 
     #[test]
-    fn tee_tracer_feeds_recorder_and_trace() {
+    fn session_tracer_feeds_recorder_and_trace() {
         let recorder = Recorder::shared();
+        let tracer = SessionTracer::new(Arc::clone(&recorder));
+        // Outside a request scope only the recorder sees the span.
+        tracer.record_span(TracePhase::Materialization, Duration::from_micros(5));
         let trace = ActiveTrace::detached("GET", "/x");
-        let tee = TeeTracer {
-            recorder: Arc::clone(&recorder),
-            trace: trace.clone(),
-        };
-        tee.record_span(TracePhase::EstimatorFit, Duration::from_micros(40));
-        let totals = recorder.phase_totals();
-        let fit = totals
-            .iter()
-            .find(|(phase, _)| *phase == TracePhase::EstimatorFit)
-            .map(|(_, total)| total.total_us);
-        assert_eq!(fit, Some(40));
+        {
+            let _scope = enter(&trace);
+            tracer.record_span(TracePhase::EstimatorFit, Duration::from_micros(40));
+        }
+        let fit = recorder.phase_total(TracePhase::EstimatorFit);
+        assert_eq!((fit.count, fit.total_us), (1, 40));
+        assert_eq!(recorder.phase_total(TracePhase::Materialization).count, 1);
         let done = trace.finish();
+        assert_eq!(done.spans.len(), 1);
         assert_eq!(done.spans.first().map(|s| s.name), Some("estimator_fit"));
         assert_eq!(done.spans.first().and_then(|s| s.parent), Some("handler"));
     }

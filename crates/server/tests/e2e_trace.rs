@@ -86,22 +86,51 @@ impl Write for LogBuffer {
     }
 }
 
-/// Sum of the durations of a request's top-level stage events (those
-/// with an empty `parent` arg) in a parsed Chrome trace.
-fn top_level_stage_sum(events: &[serde_json::Value], tid: u64) -> u64 {
+/// A request's stage events in a parsed Chrome trace, as
+/// `(name, parent, dur_us)`; top-level stages have an empty parent.
+fn spans_of(events: &[serde_json::Value], tid: u64) -> Vec<(&str, &str, u64)> {
     events
         .iter()
         .filter(|e| {
             e.get("cat").and_then(|c| c.as_str()) == Some("stage")
                 && e.get("tid").and_then(serde_json::Value::as_u64) == Some(tid)
-                && e.get("args")
+        })
+        .map(|e| {
+            (
+                e.get("name").and_then(|n| n.as_str()).unwrap_or(""),
+                e.get("args")
                     .and_then(|a| a.get("parent"))
                     .and_then(|p| p.as_str())
-                    .unwrap_or("")
-                    .is_empty()
+                    .unwrap_or(""),
+                e.get("dur")
+                    .and_then(serde_json::Value::as_u64)
+                    .unwrap_or(0),
+            )
         })
-        .filter_map(|e| e.get("dur").and_then(serde_json::Value::as_u64))
+        .collect()
+}
+
+/// Sum of the durations of a request's top-level stage events.
+fn top_level_stage_sum(events: &[serde_json::Value], tid: u64) -> u64 {
+    spans_of(events, tid)
+        .iter()
+        .filter(|(_, parent, _)| parent.is_empty())
+        .map(|&(_, _, dur)| dur)
         .sum()
+}
+
+/// The request event tagged with `request_id` in a parsed Chrome trace.
+fn request_event<'a>(events: &'a [serde_json::Value], request_id: &str) -> &'a serde_json::Value {
+    events
+        .iter()
+        .find(|e| {
+            e.get("cat").and_then(|c| c.as_str()) == Some("request")
+                && e.get("args")
+                    .and_then(|a| a.get("request_id"))
+                    .and_then(|v| v.as_str())
+                    == Some(request_id)
+        })
+        .unwrap_or_else(|| panic!("request {request_id} not in /debug/traces"))
 }
 
 /// Full-stack correlation: one tagged request is retrievable from
@@ -125,7 +154,7 @@ fn tagged_request_is_correlated_across_traces_log_and_metrics() {
         None,
         Arc::new(catalog),
     );
-    let state = viewseeker_server::api::shared_state_with_logger(registry, logger);
+    let state = Arc::new(viewseeker_server::AppState::with_logger(registry, logger));
     let queue_depth = state.metrics.counters().queue_depth_handle();
     let net = Arc::clone(&state.net);
     let sink: Arc<dyn viewseeker_net::TraceSink> = Arc::new(
@@ -147,8 +176,16 @@ fn tagged_request_is_correlated_across_traces_log_and_metrics() {
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
+    const CREATE_TAG: &str = "e2e-trace-create";
     let spec = "{\"dataset\": \"diab\", \"rows\": 600, \"seed\": 7, \"query\": \"a0 = 'a0_v0'\"}";
-    let (status, _, body) = call(&stream, &mut reader, "POST", "/sessions", "", spec);
+    let (status, _, body) = call(
+        &stream,
+        &mut reader,
+        "POST",
+        "/sessions",
+        &format!("X-Request-Id: {CREATE_TAG}\r\n"),
+        spec,
+    );
     assert_eq!(status, 201, "{body}");
     let session = json_field(&body, "id").to_owned();
 
@@ -209,16 +246,7 @@ fn tagged_request_is_correlated_across_traces_log_and_metrics() {
         serde_json::Value::Array(items) => items,
         other => panic!("traceEvents not an array: {other:?}"),
     };
-    let request = events
-        .iter()
-        .find(|e| {
-            e.get("cat").and_then(|c| c.as_str()) == Some("request")
-                && e.get("args")
-                    .and_then(|a| a.get("request_id"))
-                    .and_then(|v| v.as_str())
-                    == Some(TAG)
-        })
-        .unwrap_or_else(|| panic!("tagged request not in /debug/traces: {chrome}"));
+    let request = request_event(&events, TAG);
     assert_eq!(
         request
             .get("args")
@@ -248,23 +276,57 @@ fn tagged_request_is_correlated_across_traces_log_and_metrics() {
         "unaccounted gap {}us exceeds instrumentation overhead",
         total_us - stage_sum
     );
-    let stage_names: Vec<&str> = events
-        .iter()
-        .filter(|e| {
-            e.get("cat").and_then(|c| c.as_str()) == Some("stage")
-                && e.get("tid").and_then(serde_json::Value::as_u64) == Some(tid)
-                && e.get("args")
-                    .and_then(|a| a.get("parent"))
-                    .and_then(|p| p.as_str())
-                    .unwrap_or("")
-                    .is_empty()
-        })
-        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+    let stage_names: Vec<&str> = spans_of(&events, tid)
+        .into_iter()
+        .filter(|(_, parent, _)| parent.is_empty())
+        .map(|(name, _, _)| name)
         .collect();
     for required in ["parse", "handler", "write"] {
         assert!(
             stage_names.contains(&required),
             "missing {required}: {stage_names:?}"
+        );
+    }
+
+    // The session's create trace nests its offline phases under `handler`.
+    let create_tid = request_event(&events, CREATE_TAG)
+        .get("tid")
+        .and_then(serde_json::Value::as_u64)
+        .expect("tid");
+    let create_spans = spans_of(&events, create_tid);
+    for phase in ["view_space_gen", "materialization", "feature_extraction"] {
+        assert!(
+            create_spans
+                .iter()
+                .any(|&(name, parent, _)| name == phase && parent == "handler"),
+            "create trace lacks {phase} under handler: {create_spans:?}"
+        );
+    }
+
+    // The seeker's phases are disjoint, so in every retained trace the
+    // spans nested under `handler` add up to no more than `handler`.
+    for event in events
+        .iter()
+        .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("request"))
+    {
+        let tid = event
+            .get("tid")
+            .and_then(serde_json::Value::as_u64)
+            .expect("tid");
+        let spans = spans_of(&events, tid);
+        let handler: u64 = spans
+            .iter()
+            .filter(|&&(name, parent, _)| name == "handler" && parent.is_empty())
+            .map(|&(_, _, dur)| dur)
+            .sum();
+        let nested: u64 = spans
+            .iter()
+            .filter(|&&(_, parent, _)| parent == "handler")
+            .map(|&(_, _, dur)| dur)
+            .sum();
+        assert!(
+            nested <= handler,
+            "nested spans ({nested}us) exceed handler ({handler}us): {spans:?}"
         );
     }
 

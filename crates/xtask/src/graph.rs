@@ -1,5 +1,5 @@
 //! The intra-workspace call graph: name resolution over the `fn` items
-//! extracted by [`crate::items`], plus the JSON/DOT exports behind
+//! extracted by [`crate::items`], plus the JSON export behind
 //! `cargo run -p viewseeker-xtask -- graph`.
 //!
 //! Resolution is heuristic and *honest about it*: every call site ends
@@ -204,29 +204,6 @@ impl CallGraph {
             "  ],\n  \"external_calls\": {}\n}}\n",
             self.external_calls
         ));
-        out
-    }
-
-    /// Renders the resolved graph as Graphviz DOT (non-test fns with at
-    /// least one edge).
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        let mut used: BTreeSet<usize> = BTreeSet::new();
-        for e in &self.edges {
-            used.insert(e.caller);
-            used.insert(e.callee);
-        }
-        let mut out = String::from("digraph viewseeker_calls {\n  rankdir=LR;\n");
-        for &i in &used {
-            out.push_str(&format!(
-                "  n{i} [label=\"{}\"];\n",
-                self.fns[i].qualified().replace('"', "\\\"")
-            ));
-        }
-        for e in &self.edges {
-            out.push_str(&format!("  n{} -> n{};\n", e.caller, e.callee));
-        }
-        out.push_str("}\n");
         out
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! ```text
 //! cargo run -p viewseeker-xtask -- lint [--root PATH] [--json]
-//! cargo run -p viewseeker-xtask -- graph [--root PATH] [--dot | --json]
+//! cargo run -p viewseeker-xtask -- graph [--root PATH]
 //! ```
 //!
 //! `lint` runs the vslint invariant linter over the workspace and exits
 //! non-zero with `file:line: [rule] message` diagnostics when any rule
 //! fires (`--json` additionally writes the findings as a JSON array to
 //! stdout for CI artifacts). `graph` builds the workspace call graph and
-//! prints it as JSON (default, or `--json`) or Graphviz DOT (`--dot`).
+//! prints it as JSON.
 //! See DESIGN.md §10 for the rule catalog and §14 for the call-graph
 //! analysis.
 
@@ -23,17 +23,15 @@ use viewseeker_xtask::{diagnostics_json, graph::CallGraph, Workspace};
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
-        eprintln!("usage: viewseeker-xtask <lint|graph> [--root PATH] [--json|--dot]");
+        eprintln!("usage: viewseeker-xtask <lint|graph> [--root PATH] [--json]");
         return ExitCode::FAILURE;
     };
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut dot = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json = true,
-            "--dot" => dot = true,
             other => {
                 eprintln!("viewseeker-xtask: unknown argument `{other}`");
                 return ExitCode::FAILURE;
@@ -43,7 +41,7 @@ fn main() -> ExitCode {
     let root = root.unwrap_or_else(workspace_root);
     match command.as_str() {
         "lint" => lint(&root, json),
-        "graph" => graph(&root, dot),
+        "graph" => graph(&root),
         other => {
             eprintln!("viewseeker-xtask: unknown command `{other}` (try `lint` or `graph`)");
             ExitCode::FAILURE
@@ -96,20 +94,15 @@ fn lint(root: &Path, json: bool) -> ExitCode {
     }
 }
 
-fn graph(root: &Path, dot: bool) -> ExitCode {
+fn graph(root: &Path) -> ExitCode {
     let Some(ws) = load(root) else {
         return ExitCode::FAILURE;
     };
-    let g = CallGraph::build(&ws);
-    if dot {
-        emit(&g.to_dot());
-    } else {
-        emit(&g.to_json(&ws));
-    }
+    emit(&CallGraph::build(&ws).to_json(&ws));
     ExitCode::SUCCESS
 }
 
-/// Writes to stdout, swallowing broken-pipe errors so `graph --dot | head`
+/// Writes to stdout, swallowing broken-pipe errors so `graph | head`
 /// exits quietly instead of panicking when the reader closes early.
 fn emit(text: &str) {
     use std::io::Write;
